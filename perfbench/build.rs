@@ -1,0 +1,15 @@
+//! Stamps the compiler version into the binary for the host line.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or("unknown".into(), |o| {
+            String::from_utf8_lossy(&o.stdout).trim().to_string()
+        });
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
