@@ -2,25 +2,34 @@
 //! [`JobResult`]s out — in submission order, with per-job timing and
 //! error status.
 //!
-//! The service is built for sweep-style serving (many workloads × the
-//! engine fleet × partition strategies):
+//! Every job, batched or not, runs the same supervised per-job path —
+//! the one the [`AsyncService`](crate::AsyncService) worker pool drives
+//! one submission at a time:
 //!
-//! 1. **Validation first.** Every job's engine name and overrides are
-//!    resolved through [`grow_core::registry`] before any preparation; a
-//!    bad job fails alone, the rest of the batch proceeds.
-//! 2. **Deduplicated preparation.** Jobs sharing a workload recipe
-//!    (dataset spec + seed + HDN list length) share one pooled
-//!    [`SimSession`]; each distinct (workload, partition strategy) pair is
-//!    prepared exactly once. Preparation fans across worker threads.
-//! 3. **Keyed result cache.** Completed [`RunReport`]s are cached by
-//!    [`JobKey`]; duplicate jobs — within a batch or across batches — are
-//!    served from cache, exactly one computation per key.
-//! 4. **Deterministic fan-out.** Simulations run through
-//!    [`grow_sim::exec::parallel_map`], so batch results are bit-identical
-//!    between `GROW_SERIAL=1` and any thread count.
+//! 1. **Stage.** The job's engine name and overrides are resolved through
+//!    [`grow_core::registry`] (a bad job fails alone), then the in-memory
+//!    report cache and the on-disk [`ResultStore`] are probed. The job is
+//!    either resolved on the spot or needs a simulation.
+//! 2. **Prepare.** Jobs sharing a workload recipe (dataset spec + seed +
+//!    HDN list length) share one pooled [`SimSession`]; each distinct
+//!    (workload, partition strategy) pair is prepared exactly once.
+//! 3. **Compute.** The engine runs supervised: every attempt under
+//!    `catch_unwind`, transient failures retried under the service's
+//!    [`RetryPolicy`].
+//! 4. **Commit.** Counters merge, the report is persisted and enters the
+//!    cache keyed by [`JobKey`] — exactly one computation per key.
+//!
+//! [`BatchService::run_batch`] is a batch-shaped driver over these steps:
+//! it stages every job in submission order, prepares and computes the
+//! first validated occurrence of each key in two
+//! [`grow_sim::exec::parallel_map`] fan-outs (one level at a time, by the
+//! [`governor`](crate::governor)'s rule), commits in order, and serves
+//! later duplicates from the committed verdict. Results are therefore
+//! bit-identical between `GROW_SERIAL=1` and any thread count.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -32,9 +41,10 @@ use grow_core::{
     SchedulerKind, ShardRows,
 };
 use grow_model::DatasetSpec;
-use grow_sim::exec::{parallel_map, with_mode, ExecMode};
+use grow_sim::exec::parallel_map;
 use grow_sim::fault::{self, CancelReason, FaultPlan, FaultSite, SimFault};
 
+use crate::governor::{self, InnerBudget, QueueSnapshot};
 use crate::session::{SimSession, DEFAULT_HDN_ID_ENTRIES};
 use crate::store::ResultStore;
 
@@ -276,7 +286,25 @@ pub struct JobResult {
     pub wall_ms: Option<f64>,
 }
 
+/// What one job resolved to: its outcome, whether the report was served
+/// from a cache, and its simulation wall time (see [`JobResult`]).
+pub(crate) type Verdict = (Result<RunReport, JobError>, bool, Option<f64>);
+
 impl JobResult {
+    /// Assembles the result of the job submitted at `index`.
+    pub(crate) fn new(index: usize, key: JobKey, job: &JobSpec, verdict: Verdict) -> Self {
+        let (outcome, cache_hit, wall_ms) = verdict;
+        JobResult {
+            index,
+            key,
+            dataset: job.dataset.key.name(),
+            engine: job.engine.clone(),
+            outcome,
+            cache_hit,
+            wall_ms,
+        }
+    }
+
     /// The report, if the job succeeded.
     pub fn report(&self) -> Option<&RunReport> {
         self.outcome.as_ref().ok()
@@ -427,7 +455,7 @@ pub struct ServiceStats {
 }
 
 /// The batch simulation service: session pool + result cache + worker
-/// fan-out. See the [module docs](self) for the execution phases.
+/// fan-out. See the [module docs](self) for the per-job path.
 ///
 /// Two optional attachments turn it into a long-lived server core (the
 /// configuration [`AsyncService`](crate::AsyncService) runs on):
@@ -599,347 +627,155 @@ impl BatchService {
     /// submission order. Invalid jobs (unknown engine, malformed or
     /// unknown overrides) fail individually; every other job still runs.
     pub fn run_batch(&mut self, jobs: &[JobSpec]) -> Vec<JobResult> {
-        self.stats.jobs_submitted += jobs.len() as u64;
         let keys: Vec<JobKey> = jobs.iter().map(JobSpec::key).collect();
+        let mut verdicts: Vec<Option<Verdict>> = Vec::with_capacity(jobs.len());
 
-        // Phase 1: validate every job up front — engine resolution is
-        // cheap, preparation is not, so bad jobs never cost a partition.
-        let validations: Vec<Result<(), RegistryError>> = jobs
-            .iter()
-            .map(|job| build_engine(job).map(|_| ()))
-            .collect();
-
-        // Phase 1.5: probe the on-disk store for every validated key the
-        // in-memory cache cannot serve — once per distinct key. A hit
-        // enters the report cache and the job is served like any other
-        // cache hit; a corrupt entry is quarantined by the store and the
-        // job simply computes. The probe runs supervised under the job's
-        // own fault plan: a store *panic* (injected `store_read:panic`, or
-        // a real bug) fails that key cleanly as [`JobError::StoreCorrupt`]
-        // instead of unwinding the batch — permanent, no retry, because a
-        // corrupt store will not heal by re-reading it.
-        let mut store_failed: HashMap<JobKey, JobError> = HashMap::new();
-        if let Some(mut store) = self.store.take() {
-            let mut probed: HashSet<JobKey> = HashSet::new();
-            for i in 0..jobs.len() {
-                if validations[i].is_ok()
-                    && !self.reports.contains_key(&keys[i])
-                    && probed.insert(keys[i].clone())
-                {
-                    let plan = job_fault_plan(&jobs[i]);
-                    let loaded = catch_unwind(AssertUnwindSafe(|| {
-                        fault::with_plan(plan, || store.load(&keys[i]))
-                    }));
-                    match loaded {
-                        Ok(Some(report)) => {
-                            self.reports.insert(keys[i].clone(), report);
-                            self.stats.store_hits += 1;
-                        }
-                        Ok(None) => {}
-                        Err(payload) => {
-                            self.stats.panics_caught += 1;
-                            store_failed.insert(
-                                keys[i].clone(),
-                                JobError::StoreCorrupt {
-                                    message: panic_message(payload.as_ref()),
-                                },
-                            );
-                        }
+        // Step 1: stage in submission order. Only the first validated
+        // occurrence of a key is probed and computed; a later validated one
+        // is a duplicate and waits for that verdict. Invalid jobs never
+        // claim a key, so they cannot shadow a valid job sharing it.
+        let mut first: HashMap<&JobKey, usize> = HashMap::new();
+        let mut duplicates: Vec<(usize, usize)> = Vec::new();
+        let mut compute: Vec<(usize, Box<dyn Accelerator>, u64)> = Vec::new();
+        for (i, job) in jobs.iter().enumerate() {
+            let verdict = match self.validate(job) {
+                Err(e) => Some((Err(e), false, None)),
+                Ok(engine) => match first.entry(&keys[i]) {
+                    Entry::Occupied(at) => {
+                        duplicates.push((i, *at.get()));
+                        None
                     }
-                }
-            }
-            self.store = Some(store);
-        }
-
-        // Phase 2: the compute set — the first occurrence of every key
-        // the report cache cannot already serve. Keys the store probe
-        // failed are excluded: their verdict is already in.
-        let mut claimed: HashSet<&JobKey> = HashSet::new();
-        let to_compute: Vec<usize> = (0..jobs.len())
-            .filter(|&i| {
-                validations[i].is_ok()
-                    && !self.reports.contains_key(&keys[i])
-                    && !store_failed.contains_key(&keys[i])
-                    && claimed.insert(&keys[i])
-            })
-            .collect();
-
-        // Phase 3: deduplicated preparation. Group the compute set by
-        // session key; each task owns its session (pooled ones are taken
-        // out of the map for the duration), so whole workloads prepare in
-        // parallel, and each session fans its own strategies too.
-        struct PrepTask {
-            key: String,
-            session: Option<SimSession>,
-            spec: DatasetSpec,
-            seed: u64,
-            hdn_id_entries: usize,
-            strategies: Vec<PartitionStrategy>,
-        }
-        let mut order: Vec<String> = Vec::new();
-        let mut grouped: HashMap<String, (usize, Vec<PartitionStrategy>)> = HashMap::new();
-        for &i in &to_compute {
-            let key = jobs[i].session_key();
-            let (_, strategies) = grouped.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (i, Vec::new())
-            });
-            if !strategies.contains(&jobs[i].strategy) {
-                strategies.push(jobs[i].strategy);
-            }
-        }
-        let tasks: Vec<PrepTask> = order
-            .into_iter()
-            .map(|key| {
-                let (exemplar, strategies) = grouped.remove(&key).expect("grouped by key");
-                PrepTask {
-                    session: self.sessions.remove(&key),
-                    key,
-                    spec: jobs[exemplar].dataset,
-                    seed: jobs[exemplar].seed,
-                    hdn_id_entries: jobs[exemplar].hdn_id_entries,
-                    strategies,
-                }
-            })
-            .collect();
-        self.stats.sessions_created += tasks.iter().filter(|t| t.session.is_none()).count() as u64;
-        // Fan at one level only: when several workloads prepare at once,
-        // each worker runs its own strategies serially instead of nesting
-        // a second thread fan-out (hardware_threads^2 CPU-bound threads).
-        // A single task keeps the inner fan-out so it still parallelizes.
-        let fan_tasks = tasks.len() > 1;
-        let plan_cache = &self.plan_cache;
-        let prepared = parallel_map(tasks, |_, task| {
-            let PrepTask {
-                key,
-                session,
-                spec,
-                seed,
-                hdn_id_entries,
-                strategies,
-            } = task;
-            let mut session = session.unwrap_or_else(|| {
-                let mut s = SimSession::from_spec(spec, seed);
-                s.set_hdn_id_entries(hdn_id_entries);
-                s.set_plan_cache(Arc::clone(plan_cache), key.clone());
-                s
-            });
-            let newly_prepared = if fan_tasks {
-                with_mode(ExecMode::Serial, || session.prepare_all(&strategies))
-            } else {
-                session.prepare_all(&strategies)
-            };
-            (key, session, newly_prepared)
-        });
-        for (key, session, newly_prepared) in prepared {
-            self.stats.preparations_run += newly_prepared as u64;
-            self.sessions.insert(key, session);
-        }
-
-        // Phase 4: fan the simulations across worker threads, each job
-        // supervised. Sessions are read-only here; each worker rebuilds
-        // its (validated) engine and runs it against the shared prepared
-        // workload under `catch_unwind`: a panic — injected or genuine —
-        // is classified into a [`JobError`] and, when transient, retried
-        // up to the policy's budget. The attempt number is published
-        // through the fault context so an injected fault with
-        // `attempts=N` stops firing on attempt N+1, making the retried
-        // run bit-identical to a fault-free one.
-        self.note_in_flight(to_compute.len() as u64);
-        let sessions = &self.sessions;
-        // Same one-level rule as phase 3: with several jobs in flight the
-        // job grain saturates the cores, so each engine's internal
-        // cluster fan-out is forced serial; a lone job keeps it.
-        let fan_jobs = to_compute.len() > 1;
-        let max_attempts = self.retry.max_attempts.max(1);
-        struct JobRun {
-            index: usize,
-            outcome: Result<RunReport, JobError>,
-            wall_ms: f64,
-            retries: u64,
-            caught: u64,
-        }
-        let computed: Vec<JobRun> = parallel_map(to_compute, |_, i| {
-            let job = &jobs[i];
-            let started = Instant::now();
-            let engine = build_engine(job).expect("validated in phase 1");
-            let prepared = sessions
-                .get(&job.session_key())
-                .and_then(|s| s.get_prepared(job.strategy))
-                .expect("prepared in phase 3");
-            let mut retries = 0u64;
-            let mut caught = 0u64;
-            let mut attempt = 1u64;
-            let outcome = loop {
-                // A cancelled ticket stops consuming attempts before the
-                // next run, not just at the engine's own check points.
-                if let Some(reason) = fault::cancel_state() {
-                    break Err(JobError::Cancelled { reason });
-                }
-                let run = fault::with_attempt(attempt, || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if fan_jobs {
-                            with_mode(ExecMode::Serial, || engine.run(prepared))
-                        } else {
-                            engine.run(prepared)
-                        }
-                    }))
-                });
-                match run {
-                    Ok(report) => break Ok(report),
-                    Err(payload) => {
-                        caught += 1;
-                        let err = classify_unwind(payload, attempt);
-                        if err.is_transient() && attempt < max_attempts {
-                            attempt += 1;
-                            retries += 1;
-                            continue;
-                        }
-                        break Err(err);
-                    }
-                }
-            };
-            JobRun {
-                index: i,
-                outcome,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                retries,
-                caught,
-            }
-        });
-        self.stats.simulations_run += computed.len() as u64;
-        let mut wall_by_index: HashMap<usize, f64> = HashMap::new();
-        let mut failed: HashMap<JobKey, JobError> = HashMap::new();
-        for run in computed {
-            self.stats.retries += run.retries;
-            self.stats.panics_caught += run.caught;
-            match run.outcome {
-                Ok(report) => {
-                    wall_by_index.insert(run.index, run.wall_ms);
-                    // Only freshly computed reports of validated jobs
-                    // reach this point, so a failed job can never be
-                    // persisted. A store write failure — error return or
-                    // panic, both injectable at the `store_write` site —
-                    // costs persistence, not the batch.
-                    if let Some(store) = self.store.as_mut() {
-                        let plan = job_fault_plan(&jobs[run.index]);
-                        let persisted = catch_unwind(AssertUnwindSafe(|| {
-                            fault::with_plan(plan, || store.persist(&keys[run.index], &report))
-                        }));
-                        match persisted {
-                            Ok(Ok(())) => {}
-                            Ok(Err(e)) => eprintln!(
-                                "warning: result store write failed for {}: {e}",
-                                keys[run.index]
-                            ),
-                            Err(payload) => {
-                                self.stats.panics_caught += 1;
-                                eprintln!(
-                                    "warning: result store write panicked for {}: {}",
-                                    keys[run.index],
-                                    panic_message(payload.as_ref())
-                                );
+                    Entry::Vacant(at) => {
+                        at.insert(i);
+                        match self.probe(job, &keys[i], engine) {
+                            Staged::Done { outcome, cache_hit } => Some((outcome, cache_hit, None)),
+                            Staged::NeedsCompute {
+                                engine,
+                                max_attempts,
+                            } => {
+                                compute.push((i, engine, max_attempts));
+                                None
                             }
                         }
                     }
-                    self.reports.insert(keys[run.index].clone(), report);
-                }
-                Err(e) => {
-                    // Duplicates of a failed key share the error; it never
-                    // enters the report cache or the store, so a later
-                    // batch (or a bigger retry budget) recomputes it.
-                    failed.insert(keys[run.index].clone(), e);
-                }
-            }
+                },
+            };
+            verdicts.push(verdict);
         }
 
-        // Phase 5: results in submission order, duplicates and repeats
-        // served from the cache; failures resolved in precedence order —
-        // validation, then store corruption, then supervised execution.
-        let results = jobs
-            .iter()
-            .zip(validations)
-            .enumerate()
-            .map(|(index, (job, validation))| {
-                let failure = match validation {
-                    Err(e) => Some(JobError::Invalid(e)),
-                    Ok(()) => store_failed
-                        .get(&keys[index])
-                        .or_else(|| failed.get(&keys[index]))
-                        .cloned(),
-                };
-                let (outcome, cache_hit, wall_ms) = match failure {
-                    Some(e) => {
-                        self.stats.jobs_failed += 1;
-                        if matches!(e, JobError::Cancelled { .. }) {
-                            self.stats.jobs_cancelled += 1;
-                        }
-                        (Err(e), false, None)
-                    }
-                    None => {
-                        let wall_ms = wall_by_index.get(&index).copied();
-                        if wall_ms.is_none() {
-                            self.stats.cache_hits += 1;
-                        }
-                        let report = self
-                            .reports
-                            .get(&keys[index])
-                            .expect("computed in phase 4 or cached earlier")
-                            .clone();
-                        (Ok(report), wall_ms.is_none(), wall_ms)
-                    }
-                };
-                JobResult {
-                    index,
-                    key: keys[index].clone(),
-                    dataset: job.dataset.key.name(),
-                    engine: job.engine.clone(),
-                    outcome,
-                    cache_hit,
-                    wall_ms,
-                }
-            })
+        // Step 2: prepare the compute set's sessions, one task per workload
+        // in first-use order. Each task owns its session (pooled ones leave
+        // the pool meanwhile), so distinct workloads generate and prepare
+        // in parallel.
+        let mut groups: Vec<(String, &JobSpec, Vec<PartitionStrategy>)> = Vec::new();
+        for &(i, ..) in &compute {
+            let (job, session_key) = (&jobs[i], jobs[i].session_key());
+            match groups.iter_mut().find(|g| g.0 == session_key) {
+                Some((.., strategies)) if strategies.contains(&job.strategy) => {}
+                Some((.., strategies)) => strategies.push(job.strategy),
+                None => groups.push((session_key, job, vec![job.strategy])),
+            }
+        }
+        let tasks: Vec<_> = groups
+            .into_iter()
+            .map(|(key, job, strategies)| (self.take_session(&key), key, job, strategies))
             .collect();
-
-        // Touch this batch's pooled sessions in submission order, then
-        // enforce the LRU capacity bound.
-        for job in jobs {
-            let session_key = job.session_key();
-            if self.sessions.contains_key(&session_key) {
-                self.session_clock += 1;
-                self.session_last_use
-                    .insert(session_key, self.session_clock);
-            }
+        let budget = batch_budget(tasks.len());
+        let plan_cache = &self.plan_cache;
+        let prepared = parallel_map(tasks, |_, (session, key, job, strategies)| {
+            let created = session.is_none();
+            let mut session = session.unwrap_or_else(|| new_session(job, Arc::clone(plan_cache)));
+            let newly_prepared = budget.apply(|| session.prepare_all(&strategies));
+            (key, session, created, newly_prepared)
+        });
+        for (key, session, created, newly_prepared) in prepared {
+            self.adopt_session(key, session, created, newly_prepared);
         }
-        self.evict_sessions();
-        results
+
+        // Step 3: compute the set, each job supervised.
+        self.note_in_flight(compute.len() as u64);
+        let budget = batch_budget(compute.len());
+        let (indices, tasks): (Vec<usize>, Vec<ComputeTask>) = compute
+            .into_iter()
+            .map(|(i, engine, max_attempts)| {
+                let prepared = self.sessions[&jobs[i].session_key()]
+                    .get_prepared_arc(jobs[i].strategy)
+                    .expect("prepared in step 2");
+                let task = ComputeTask {
+                    engine,
+                    prepared,
+                    max_attempts,
+                };
+                (i, task)
+            })
+            .unzip();
+        let runs = parallel_map(tasks, |_, task| budget.apply(|| compute_supervised(&task)));
+
+        // Step 4: commit in submission order, then serve each duplicate
+        // from its first occurrence's verdict. A failed key's error is
+        // shared, never cached, so a later batch recomputes it.
+        for (i, run) in indices.into_iter().zip(runs) {
+            let (outcome, wall_ms) = self.commit(&jobs[i], &keys[i], run);
+            verdicts[i] = Some((outcome, false, wall_ms));
+        }
+        for (i, first) in duplicates {
+            let verdict = match verdicts[first].as_ref().expect("first occurrence resolved") {
+                (Ok(report), ..) => {
+                    self.stats.cache_hits += 1;
+                    (Ok(report.clone()), true, None)
+                }
+                (Err(e), ..) => (Err(self.fail(e.clone())), false, None),
+            };
+            verdicts[i] = Some(verdict);
+        }
+
+        self.touch_sessions(jobs);
+        verdicts
+            .into_iter()
+            .zip(jobs.iter().zip(keys))
+            .enumerate()
+            .map(|(index, (verdict, (job, key)))| {
+                JobResult::new(index, key, job, verdict.expect("every job resolved"))
+            })
+            .collect()
     }
 
-    /// Stages one job for supervised execution — the per-job front half
-    /// of [`run_batch`](Self::run_batch), factored out so concurrent
-    /// callers (the [`AsyncService`](crate::AsyncService) worker pool)
-    /// hold the service lock only around cheap bookkeeping. Runs
-    /// validation, the in-memory cache probe, and the supervised store
-    /// probe (before any session is built, so a restarted service serves
-    /// a warm fleet without instantiating workloads). Returns either the
-    /// job's resolved outcome or the validated engine; the caller then
-    /// prepares the session *outside* this lock ([`take_session`] /
-    /// [`adopt_session`]) and computes.
+    /// Stages one job — step 1 of the per-job path (see the
+    /// [module docs](self)): validation, the in-memory cache probe, and
+    /// the supervised store probe (before any session is built, so a
+    /// restarted service serves a warm fleet without instantiating
+    /// workloads). Returns either the job's resolved outcome or the
+    /// validated engine; the caller then prepares the session *outside*
+    /// the service lock ([`take_session`] / [`adopt_session`]), computes,
+    /// and [`commit`](Self::commit)s.
     ///
     /// [`take_session`]: Self::take_session
     /// [`adopt_session`]: Self::adopt_session
     pub(crate) fn stage(&mut self, job: &JobSpec, key: &JobKey) -> Staged {
+        match self.validate(job) {
+            Ok(engine) => self.probe(job, key, engine),
+            Err(e) => Staged::Done {
+                outcome: Err(e),
+                cache_hit: false,
+            },
+        }
+    }
+
+    /// Counts one submission and builds its engine, validating the name
+    /// and every override; an invalid job is counted as failed.
+    fn validate(&mut self, job: &JobSpec) -> Result<Box<dyn Accelerator>, JobError> {
         self.stats.jobs_submitted += 1;
-        let engine = match build_engine(job) {
-            Ok(engine) => engine,
-            Err(e) => {
-                self.stats.jobs_failed += 1;
-                return Staged::Done {
-                    outcome: Err(JobError::Invalid(e)),
-                    cache_hit: false,
-                };
-            }
-        };
+        build_engine(job).map_err(|e| self.fail(JobError::Invalid(e)))
+    }
+
+    /// Serves a validated job from the report cache or the store, or
+    /// hands its engine on for compute. A store hit enters the report
+    /// cache; a corrupt entry is quarantined by the store and the job
+    /// computes. The store probe runs supervised under the job's own fault
+    /// plan: a store *panic* (injected `store_read:panic`, or a real bug)
+    /// fails the job as [`JobError::StoreCorrupt`] — permanent, no retry,
+    /// because a corrupt store will not heal by re-reading it.
+    fn probe(&mut self, job: &JobSpec, key: &JobKey, engine: Box<dyn Accelerator>) -> Staged {
         if let Some(report) = self.reports.get(key) {
             self.stats.cache_hits += 1;
             return Staged::Done {
@@ -947,12 +783,11 @@ impl BatchService {
                 cache_hit: true,
             };
         }
-        if let Some(mut store) = self.store.take() {
+        if let Some(store) = self.store.as_mut() {
             let plan = job_fault_plan(job);
             let loaded = catch_unwind(AssertUnwindSafe(|| {
                 fault::with_plan(plan, || store.load(key))
             }));
-            self.store = Some(store);
             match loaded {
                 Ok(Some(report)) => {
                     self.reports.insert(key.clone(), report.clone());
@@ -966,11 +801,11 @@ impl BatchService {
                 Ok(None) => {}
                 Err(payload) => {
                     self.stats.panics_caught += 1;
-                    self.stats.jobs_failed += 1;
+                    let e = JobError::StoreCorrupt {
+                        message: panic_message(payload.as_ref()),
+                    };
                     return Staged::Done {
-                        outcome: Err(JobError::StoreCorrupt {
-                            message: panic_message(payload.as_ref()),
-                        }),
+                        outcome: Err(self.fail(e)),
                         cache_hit: false,
                     };
                 }
@@ -982,10 +817,19 @@ impl BatchService {
         }
     }
 
+    /// Counts a failed job (and a cancelled one) and hands its error back.
+    fn fail(&mut self, e: JobError) -> JobError {
+        self.stats.jobs_failed += 1;
+        if matches!(e, JobError::Cancelled { .. }) {
+            self.stats.jobs_cancelled += 1;
+        }
+        e
+    }
+
     /// Takes the pooled session for `session_key` out of the pool so a
-    /// concurrent caller can prepare it outside the service lock (the
-    /// caller serializes same-session takers itself). Returns `None` if
-    /// the workload was never instantiated or was evicted.
+    /// caller can prepare it outside the service lock (the caller
+    /// serializes same-session takers itself). Returns `None` if the
+    /// workload was never instantiated or was evicted.
     pub(crate) fn take_session(&mut self, session_key: &str) -> Option<SimSession> {
         self.sessions.remove(session_key)
     }
@@ -1013,10 +857,11 @@ impl BatchService {
         Arc::clone(&self.plan_cache)
     }
 
-    /// Commits one computed job — the per-job back half of
-    /// [`run_batch`](Self::run_batch): counter merges, the supervised
-    /// store persist (write failures cost persistence, never the job),
-    /// and the report-cache insert. Returns the job's outcome and its
+    /// Commits one computed job — step 4 of the per-job path: counter
+    /// merges, the supervised store persist (write failures cost
+    /// persistence, never the job), and the report-cache insert. Only
+    /// freshly computed reports of validated jobs reach the store, so a
+    /// failed job is never persisted. Returns the job's outcome and its
     /// wall time (`None` for failures, like [`JobResult::wall_ms`]).
     pub(crate) fn commit(
         &mut self,
@@ -1051,27 +896,20 @@ impl BatchService {
                 self.reports.insert(key.clone(), report.clone());
                 (Ok(report), Some(run.wall_ms))
             }
-            Err(e) => {
-                self.stats.jobs_failed += 1;
-                if matches!(e, JobError::Cancelled { .. }) {
-                    self.stats.jobs_cancelled += 1;
-                }
-                (Err(e), None)
-            }
+            Err(e) => (Err(self.fail(e)), None),
         }
     }
 
-    /// Marks the job's pooled session as just-used and enforces the LRU
-    /// capacity bound — the per-job form of [`run_batch`]'s batch-tail
-    /// bookkeeping.
-    ///
-    /// [`run_batch`]: Self::run_batch
-    pub(crate) fn touch_session(&mut self, job: &JobSpec) {
-        let session_key = job.session_key();
-        if self.sessions.contains_key(&session_key) {
-            self.session_clock += 1;
-            self.session_last_use
-                .insert(session_key, self.session_clock);
+    /// Marks the jobs' pooled sessions as just-used, in order, then
+    /// enforces the LRU capacity bound once.
+    pub(crate) fn touch_sessions(&mut self, jobs: &[JobSpec]) {
+        for job in jobs {
+            let session_key = job.session_key();
+            if self.sessions.contains_key(&session_key) {
+                self.session_clock += 1;
+                self.session_last_use
+                    .insert(session_key, self.session_clock);
+            }
         }
         self.evict_sessions();
     }
@@ -1123,7 +961,7 @@ pub(crate) enum Staged {
 
 /// A self-contained unit of supervised compute: the validated engine and
 /// the shared prepared workload (alive across session eviction via its
-/// `Arc`). Never crosses threads — the worker that staged it runs it.
+/// `Arc`).
 pub(crate) struct ComputeTask {
     pub(crate) engine: Box<dyn Accelerator>,
     pub(crate) prepared: Arc<PreparedWorkload>,
@@ -1138,13 +976,14 @@ pub(crate) struct ComputeOutcome {
     caught: u64,
 }
 
-/// Runs one staged simulation under the supervision contract of
-/// [`BatchService::run_batch`]'s phase 4: every attempt runs under
-/// `catch_unwind` with the attempt number published through the fault
-/// context, transient failures retry up to the task's budget, and a
-/// cancelled ticket stops consuming attempts at the loop head. The
-/// caller picks the execution mode (the governor's serial forcing or a
-/// lone job's full inner fan-out) by wrapping this call.
+/// Runs one staged simulation under the supervision contract — step 3 of
+/// the per-job path: every attempt runs under `catch_unwind` with the
+/// attempt number published through the fault context (so an injected
+/// fault with `attempts=N` stops firing on attempt N+1 and the retried
+/// run is bit-identical to a fault-free one), transient failures retry up
+/// to the task's budget, and a cancelled ticket stops consuming attempts
+/// at the loop head. The caller picks the execution mode (the governor's
+/// [`InnerBudget`]) by wrapping this call.
 pub(crate) fn compute_supervised(task: &ComputeTask) -> ComputeOutcome {
     let started = Instant::now();
     let mut retries = 0u64;
@@ -1177,6 +1016,26 @@ pub(crate) fn compute_supervised(task: &ComputeTask) -> ComputeOutcome {
         retries,
         caught,
     }
+}
+
+/// The governor's one-level rule for a `run_batch` fan-out over `tasks`
+/// items: several at once force each item's inner fan-out serial; a lone
+/// item keeps it.
+fn batch_budget(tasks: usize) -> InnerBudget {
+    governor::host_budget(QueueSnapshot {
+        queued: 0,
+        running: tasks,
+    })
+}
+
+/// Instantiates the pooled session for `job`'s workload recipe, stamped
+/// into the service's cross-job plan cache. This generates the graph and
+/// its features, so callers run it outside the service lock.
+pub(crate) fn new_session(job: &JobSpec, plan_cache: Arc<PlanCache>) -> SimSession {
+    let mut session = SimSession::from_spec(job.dataset, job.seed);
+    session.set_hdn_id_entries(job.hdn_id_entries);
+    session.set_plan_cache(plan_cache, job.session_key());
+    session
 }
 
 /// Builds the job's engine, validating the name and every override.
@@ -1285,6 +1144,7 @@ pub fn scheduler_grid_jobs(
 mod tests {
     use super::*;
     use grow_model::DatasetKey;
+    use std::collections::HashSet;
 
     fn spec() -> DatasetSpec {
         DatasetKey::Cora.spec().scaled_to(300)
@@ -1447,6 +1307,21 @@ mod tests {
         service.run_one(&b.clone().with_override("dram_gbps", "8"));
         assert_eq!(service.stats().sessions_created, 4);
         assert_eq!(service.stats().sessions_evicted, 2);
+    }
+
+    #[test]
+    fn run_batch_evicts_least_recently_used_once_at_the_end() {
+        // Sessions are touched in submission order and evicted once after
+        // the batch: the first workload is the LRU victim. Evicting after
+        // every touch would drop an untouched session by key instead.
+        let mut service = BatchService::new().with_session_capacity(2);
+        let [a, b, c] = [1, 2, 3].map(|seed| JobSpec::new(spec(), seed, "gcnax"));
+        service.run_batch(&[a.clone(), b.clone(), c.clone()]);
+        assert_eq!(service.pooled_sessions(), 2);
+        assert!(service.session_for(&a).is_none(), "LRU session evicted");
+        assert!(service.session_for(&b).is_some());
+        assert!(service.session_for(&c).is_some());
+        assert_eq!(service.stats().sessions_evicted, 1);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! once, one per pool worker) and *inner* parallelism (one job fanning
 //! its own cluster simulation across threads through
 //! `grow_sim::exec::parallel_map`). Spending both at once oversubscribes
-//! the machine quadratically — the same trap
-//! [`BatchService::run_batch`](crate::BatchService::run_batch) avoids
-//! with its one-level fan-out rule — so the governor picks exactly one
-//! level per job, from the in-flight mix at the moment the job is picked
-//! up:
+//! the machine quadratically, so the governor picks exactly one level per
+//! job, from the in-flight mix at the moment the job is picked up.
+//! [`BatchService::run_batch`](crate::BatchService::run_batch) takes its
+//! rule from here too, with each fan-out's item count as the in-flight
+//! mix:
 //!
 //! * **Contended queue** (another job running or waiting): the job-grain
 //!   fan-out saturates the cores, so this job's inner fan-out is forced
@@ -23,7 +23,9 @@
 //! because every engine is bit-identical between its serial and parallel
 //! paths, the choice can never change a report, only its wall time.
 
-use grow_sim::exec::{with_mode, with_workers, ExecMode};
+use std::sync::OnceLock;
+
+use grow_sim::exec::{self, with_mode, with_workers, ExecMode};
 
 /// What the governor sees: the queue at the instant a worker picks up a
 /// job, with the picked job already counted in [`running`](Self::running).
@@ -94,6 +96,17 @@ pub fn inner_budget(
     } else {
         InnerBudget::Threads(thread_budget(hardware_threads, configured_threads))
     }
+}
+
+/// [`inner_budget`] on this host: the hardware thread count from the OS
+/// (read once per process — the lookup parses cgroup files, which costs
+/// more than an all-cache-hit batch), the configured override from the
+/// calling thread (`grow_sim::exec::configured_workers`).
+pub(crate) fn host_budget(snapshot: QueueSnapshot) -> InnerBudget {
+    static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+    let hardware_threads = *HARDWARE_THREADS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    inner_budget(snapshot, hardware_threads, exec::configured_workers())
 }
 
 #[cfg(test)]

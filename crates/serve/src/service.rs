@@ -25,8 +25,8 @@
 //!   run outside the service lock, so distinct jobs overlap end to end.
 //!   The [`governor`](crate::governor) arbitrates the two parallelism
 //!   levels per picked-up job: a contended queue forces the job's inner
-//!   cluster fan-out serial (the `run_batch` one-level rule, applied
-//!   dynamically), a lone job keeps the machine to itself. One killed
+//!   cluster fan-out serial (the one-level rule `run_batch` applies to
+//!   its fan-outs), a lone job keeps the machine to itself. One killed
 //!   worker (the injected `worker` fault site, whose `nth` selects which
 //!   pool worker dies) records its casualty and the pool degrades to
 //!   N−1; the service only dies with its last worker.
@@ -61,15 +61,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use grow_core::PreparedWorkload;
-use grow_sim::exec::{self, ExecContext};
+use grow_sim::exec::ExecContext;
 use grow_sim::fault::{self, CancelToken, FaultSite};
 
 use crate::batch::{
-    compute_supervised, job_fault_plan, BatchService, ComputeTask, JobKey, JobResult, JobSpec,
-    ServiceStats, Staged,
+    compute_supervised, job_fault_plan, new_session, BatchService, ComputeTask, JobKey, JobResult,
+    JobSpec, ServiceStats, Staged,
 };
 use crate::governor::{self, InnerBudget, QueueSnapshot};
-use crate::session::SimSession;
 
 /// Scheduling class of a submission: workers always serve the highest
 /// non-empty class, FIFO within a class.
@@ -727,23 +726,17 @@ fn worker_loop(
                 svc.stage(&submission.job, &submission.key)
             })
         };
-        let (outcome, cache_hit, wall_ms) = match staged {
+        let verdict = match staged {
             Staged::Done { outcome, cache_hit } => {
                 let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-                svc.touch_session(&submission.job);
+                svc.touch_sessions(std::slice::from_ref(&submission.job));
                 (outcome, cache_hit, None)
             }
             Staged::NeedsCompute {
                 engine,
                 max_attempts,
             } => {
-                let budget = governor::inner_budget(
-                    snapshot,
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    exec::configured_workers(),
-                );
+                let budget = governor::host_budget(snapshot);
                 let prepared = prepare_for(&guard, shared, service, &submission.job, budget);
                 let task = ComputeTask {
                     engine,
@@ -755,21 +748,18 @@ fn worker_loop(
                 });
                 let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
                 let (outcome, wall_ms) = svc.commit(&submission.job, &submission.key, run);
-                svc.touch_session(&submission.job);
+                svc.touch_sessions(std::slice::from_ref(&submission.job));
                 (outcome, false, wall_ms)
             }
         };
-        let result = JobResult {
-            // Workers number nothing themselves; the submission id is
-            // the meaningful index at this layer.
-            index: submission.id as usize,
-            key: submission.key.clone(),
-            dataset: submission.job.dataset.key.name(),
-            engine: submission.job.engine.clone(),
-            outcome,
-            cache_hit,
-            wall_ms,
-        };
+        // Workers number nothing themselves; the submission id is the
+        // meaningful index at this layer.
+        let result = JobResult::new(
+            submission.id as usize,
+            submission.key.clone(),
+            &submission.job,
+            verdict,
+        );
         completions
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -811,21 +801,17 @@ fn prepare_for(
         st.preparing.insert(session_key.clone());
     }
     guard.preparing.replace(Some(session_key.clone()));
-    let (mut session, created) = {
+    let (session, plan_cache) = {
         let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-        match svc.take_session(&session_key) {
-            Some(session) => (session, false),
-            None => {
-                let mut session = SimSession::from_spec(job.dataset, job.seed);
-                session.set_hdn_id_entries(job.hdn_id_entries);
-                session.set_plan_cache(svc.plan_cache_arc(), session_key.clone());
-                (session, true)
-            }
-        }
+        (svc.take_session(&session_key), svc.plan_cache_arc())
     };
-    // The expensive part — partitioning, relabeling, HDN lists — runs
-    // with no lock held, under the same inner budget as the compute
-    // (memoized strategies make this a no-op lookup).
+    // The expensive part — graph generation for a new workload, then
+    // partitioning, relabeling, HDN lists — runs with no lock held (the
+    // claim makes this worker the only creator), under the same inner
+    // budget as the compute (memoized strategies make this a no-op
+    // lookup).
+    let created = session.is_none();
+    let mut session = session.unwrap_or_else(|| new_session(job, plan_cache));
     let newly_prepared = budget.apply(|| session.prepare_all(std::slice::from_ref(&job.strategy)));
     let prepared = session
         .get_prepared_arc(job.strategy)

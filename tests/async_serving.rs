@@ -18,11 +18,12 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use grow::accel::registry::RegistryError;
 use grow::accel::PartitionStrategy;
 use grow::model::DatasetKey;
 use grow::serve::{
-    AsyncConfig, AsyncService, BatchService, JobResult, JobSpec, Priority, ResultStore,
-    SubmitError, Ticket,
+    AsyncConfig, AsyncService, BatchService, JobError, JobResult, JobSpec, Priority, ResultStore,
+    ServiceStats, SubmitError, Ticket,
 };
 use grow::sim::exec::{with_mode, with_workers, ExecMode};
 
@@ -127,6 +128,66 @@ fn async_drain_is_bit_identical_to_run_batch() {
     // Async results carry the submission id as their index, in order.
     for (i, r) in async_parallel.iter().enumerate() {
         assert_eq!(r.index, i);
+    }
+
+    // ServiceStats have one definition: with a duplicate of a successful
+    // job and a transient-fault job added, both drivers count the same on
+    // every field but the in-flight peak, which each defines differently.
+    let mut fleet = jobs.clone();
+    fleet.push(jobs[0].clone());
+    fleet.push(jobs[0].clone().with_fault("dram:error:1:2"));
+    let (sync, sync_stats, asynchronous, async_stats) = with_mode(ExecMode::Serial, || {
+        let mut batch = BatchService::new();
+        let sync = batch.run_batch(&fleet);
+        let (asynchronous, drained) = drain(
+            AsyncService::start(BatchService::new(), AsyncConfig::default()),
+            &fleet,
+        );
+        (sync, batch.stats(), asynchronous, drained.stats())
+    });
+    assert_same_outcomes(&sync, &asynchronous);
+    assert_eq!(sync_stats.cache_hits, 1, "the duplicate is a cache hit");
+    assert_eq!(sync_stats.retries, 2, "the transient fault retried");
+    let peakless = |stats: ServiceStats| ServiceStats {
+        jobs_in_flight_peak: 0,
+        ..stats
+    };
+    assert_eq!(peakless(sync_stats), peakless(async_stats));
+}
+
+#[test]
+fn invalid_job_sharing_a_key_with_a_valid_one_fails_alone() {
+    // Last-wins keys collide, but only the first job trips over its
+    // shadowed `runahead=many`. In either order and under either driver,
+    // the invalid job fails alone and the valid one computes once.
+    let spec = DatasetKey::Cora.spec().scaled_to(300);
+    let invalid = JobSpec::new(spec, 5, "grow")
+        .with_override("runahead", "many")
+        .with_override("runahead", "4");
+    let valid = JobSpec::new(spec, 5, "grow").with_override("runahead", "4");
+    assert_eq!(invalid.key(), valid.key());
+    for invalid_at in [0, 1] {
+        let mut jobs = vec![valid.clone()];
+        jobs.insert(invalid_at, invalid.clone());
+        let mut batch = BatchService::new();
+        let sync = batch.run_batch(&jobs);
+        let (asynchronous, drained) = drain(
+            AsyncService::start(BatchService::new(), AsyncConfig::default()),
+            &jobs,
+        );
+        for (results, stats) in [(&sync, batch.stats()), (&asynchronous, drained.stats())] {
+            assert_eq!(
+                results[invalid_at].outcome,
+                Err(JobError::Invalid(RegistryError::InvalidValue {
+                    key: "runahead".into(),
+                    value: "many".into()
+                }))
+            );
+            let computed = &results[1 - invalid_at];
+            assert!(computed.outcome.is_ok() && !computed.cache_hit);
+            assert_eq!(stats.simulations_run, 1);
+            assert_eq!(stats.jobs_failed, 1);
+        }
     }
 }
 
