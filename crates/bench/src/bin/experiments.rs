@@ -1695,19 +1695,30 @@ fn nonpowerlaw() -> Table {
 
 fn preprocessing(ctx: &mut Context) -> Table {
     // Section V-C: one-time graph preprocessing cost, amortized over all
-    // future inference runs.
+    // future inference runs, stage by stage: graph generation, the
+    // multilevel partition alone, and the whole prepare (partition,
+    // relabel, A + I, HDN lists).
     let mut t = Table::new(
         "preprocessing",
-        &["dataset", "nodes", "edges", "partition-time"],
+        &[
+            "dataset",
+            "nodes",
+            "edges",
+            "generate",
+            "partition",
+            "prepare",
+        ],
     );
     for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        let d = experiments::preprocessing_cost(&eval.workload);
+        let spec = ctx.spec(i);
+        let stages = experiments::PreprocessingStages::measure(&spec, ctx.seed);
         t.row(&[
-            eval.key.name().into(),
-            eval.workload.graph.nodes().to_string(),
-            cell::count(eval.workload.graph.directed_edges() as u64),
-            format!("{:.2?}", d),
+            spec.key.name().into(),
+            stages.nodes.to_string(),
+            cell::count(stages.directed_edges as u64),
+            format!("{:.2?}", stages.generate),
+            format!("{:.2?}", stages.partition),
+            format!("{:.2?}", stages.prepare),
         ]);
     }
     t

@@ -119,32 +119,33 @@ impl CommunityGraphSpec {
             }
         }
 
-        // Prefix sums: global and per-community.
-        let global_prefix = prefix_sums(&weights);
-        let comm_prefix: Vec<Vec<f64>> = (0..k)
-            .map(|c| prefix_sums(&weights[bounds[c]..bounds[c + 1]]))
+        // Weighted samplers: global and per-community.
+        let global = WeightedSampler::new(&weights);
+        let per_community: Vec<WeightedSampler> = (0..k)
+            .map(|c| WeightedSampler::new(&weights[bounds[c]..bounds[c + 1]]))
             .collect();
 
         // Sample edges with dedup top-up rounds.
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(target_undirected + 16);
+        let mut edges: Vec<u64> = Vec::new();
         let mut rounds = 0;
         while edges.len() < target_undirected && rounds < 8 {
             let missing = target_undirected - edges.len();
             let batch = (missing as f64 * 1.1) as usize + 8;
+            let deduped = edges.len();
+            edges.reserve(batch);
             for _ in 0..batch {
-                let u = sample_prefix(&global_prefix, &mut rng);
+                let u = global.sample(&mut rng);
                 let v = if rng.random::<f64>() < self.intra_fraction {
                     let c = community[u] as usize;
-                    bounds[c] + sample_prefix(&comm_prefix[c], &mut rng)
+                    bounds[c] + per_community[c].sample(&mut rng)
                 } else {
-                    sample_prefix(&global_prefix, &mut rng)
+                    global.sample(&mut rng)
                 };
                 if u != v {
-                    edges.push((u.min(v) as u32, u.max(v) as u32));
+                    edges.push(edge_key(u as u32, v as u32));
                 }
             }
-            edges.sort_unstable();
-            edges.dedup();
+            merge_round(&mut edges, deduped);
             rounds += 1;
         }
         edges.truncate(target_undirected);
@@ -166,10 +167,12 @@ impl CommunityGraphSpec {
             }
         }
 
-        let relabeled = edges
-            .into_iter()
-            .map(|(u, v)| (perm[u as usize], perm[v as usize]));
-        let graph = Graph::from_edges(n, relabeled);
+        let graph = Graph::from_edge_passes(n, || {
+            edges.iter().map(|&key| {
+                let (u, v) = key_edge(key);
+                (perm[u as usize], perm[v as usize])
+            })
+        });
         let mut final_community = vec![0u32; n];
         for (old, &new) in perm.iter().enumerate() {
             final_community[new as usize] = community[old];
@@ -237,11 +240,14 @@ impl RmatGraphSpec {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 1usize << self.scale;
         let target = ((n as f64 * self.avg_degree) / 2.0).round() as usize;
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(target);
+        let mut edges: Vec<u64> = Vec::new();
         let mut rounds = 0;
         while edges.len() < target && rounds < 8 {
             let missing = target - edges.len();
-            for _ in 0..(missing + missing / 8 + 8) {
+            let batch = missing + missing / 8 + 8;
+            let deduped = edges.len();
+            edges.reserve(batch);
+            for _ in 0..batch {
                 let (mut u, mut v) = (0u32, 0u32);
                 for _ in 0..self.scale {
                     let r: f64 = rng.random();
@@ -258,39 +264,144 @@ impl RmatGraphSpec {
                     v = (v << 1) | dv;
                 }
                 if u != v {
-                    edges.push((u.min(v), u.max(v)));
+                    edges.push(edge_key(u, v));
                 }
             }
-            edges.sort_unstable();
-            edges.dedup();
+            merge_round(&mut edges, deduped);
             rounds += 1;
         }
         edges.truncate(target);
-        Graph::from_edges(n, edges)
+        Graph::from_edge_passes(n, || edges.iter().map(|&key| key_edge(key)))
     }
 }
 
-fn prefix_sums(weights: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(weights.len() + 1);
-    out.push(0.0);
-    let mut acc = 0.0;
-    for &w in weights {
-        acc += w;
-        out.push(acc);
-    }
-    out
+/// Packs an undirected edge into one sort key, smaller endpoint in the
+/// high half: ascending keys are the lexicographic order of
+/// `(min, max)` pairs.
+fn edge_key(u: u32, v: u32) -> u64 {
+    (u64::from(u.min(v)) << 32) | u64::from(u.max(v))
 }
 
-/// Samples an index proportionally to the weights behind `prefix`
-/// (binary search over the cumulative sums).
-fn sample_prefix(prefix: &[f64], rng: &mut StdRng) -> usize {
-    let total = *prefix.last().expect("non-empty prefix");
-    let x = rng.random::<f64>() * total;
-    // partition_point: first index with prefix[i] > x, minus one.
-    prefix
-        .partition_point(|&p| p <= x)
-        .clamp(1, prefix.len() - 1)
-        - 1
+/// Unpacks an [`edge_key`] into `(min, max)`.
+fn key_edge(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
+/// Closes one top-up round: `keys[..deduped]` is sorted and distinct
+/// from earlier rounds, `keys[deduped..]` is this round's raw sample.
+/// Sorts only the new tail and merges it into the prefix, leaving
+/// `keys` sorted and distinct — the same set a sort and dedup of the
+/// whole vector would give, without re-sorting earlier rounds.
+///
+/// The merge runs in place from the back, so it needs no second buffer
+/// the size of the prefix: only the (smaller) tail is copied out.
+fn merge_round(keys: &mut Vec<u64>, deduped: usize) {
+    keys[deduped..].sort_unstable();
+    if deduped == 0 {
+        keys.dedup();
+        return;
+    }
+    let mut new = keys.split_off(deduped);
+    new.dedup();
+    let mut old = deduped;
+    keys.resize(deduped + new.len(), 0);
+    // Fill `keys` from the back with the larger head of either run; a key
+    // in both runs is written once. The write cursor never passes the
+    // unread part of the old run.
+    let mut write = keys.len();
+    while let Some(&key) = new.last() {
+        let next = match old.checked_sub(1).map(|i| keys[i]) {
+            Some(k) if k >= key => {
+                old -= 1;
+                if k == key {
+                    new.pop();
+                }
+                k
+            }
+            _ => {
+                new.pop();
+                key
+            }
+        };
+        write -= 1;
+        keys[write] = next;
+    }
+    // The old run's unread head is already in place; close the gap the
+    // dropped duplicates left behind it.
+    keys.drain(old..write);
+}
+
+/// Samples indices proportionally to fixed weights: one uniform draw
+/// `x` in `[0, total)`, then the first prefix sum above `x`.
+///
+/// A guide table (Chen and Asau) cuts `[0, total)` into one bucket per
+/// weight and records where each bucket starts in the prefix sums. A draw
+/// then compares `x` with a fixed window of [`GUIDE_WINDOW`] sums from its
+/// bucket's start, branch-free, instead of binary-searching all of them.
+/// The bucket is only a hint: a draw whose answer lies outside the window,
+/// or whose bucket was rounded past it, falls back to the full search. So
+/// every draw returns exactly the index a plain binary search returns.
+struct WeightedSampler {
+    /// `prefix[i]` is the sum of the first `i` weights, for
+    /// `i <= weights`, followed by `GUIDE_WINDOW` infinities so that a
+    /// window never runs off the end.
+    prefix: Vec<f64>,
+    /// Number of real prefix sums (`weights + 1`).
+    sums: usize,
+    /// `guide[b]`: the first prefix index whose sum exceeds bucket `b`'s
+    /// lower edge, capped at the last real sum.
+    guide: Vec<u32>,
+    /// Buckets per unit of weight.
+    scale: f64,
+}
+
+/// Prefix sums a [`WeightedSampler`] draw compares before falling back.
+const GUIDE_WINDOW: usize = 4;
+
+impl WeightedSampler {
+    fn new(weights: &[f64]) -> Self {
+        let sums = weights.len() + 1;
+        let mut prefix = Vec::with_capacity(sums + GUIDE_WINDOW);
+        prefix.push(0.0);
+        let mut acc = 0.0;
+        for &w in weights {
+            acc += w;
+            prefix.push(acc);
+        }
+        let buckets = weights.len().max(1);
+        let scale = buckets as f64 / acc;
+        let guide = (0..=buckets)
+            .map(|b| {
+                let first = prefix.partition_point(|&p| p <= b as f64 / scale);
+                first.min(sums - 1) as u32
+            })
+            .collect();
+        prefix.extend([f64::INFINITY; GUIDE_WINDOW]);
+        WeightedSampler {
+            prefix,
+            sums,
+            guide,
+            scale,
+        }
+    }
+
+    /// Draws one index, consuming one `f64` from `rng`.
+    fn sample(&self, rng: &mut StdRng) -> usize {
+        let sums = &self.prefix[..self.sums];
+        let x = rng.random::<f64>() * sums[self.sums - 1];
+        // First index with prefix[i] > x: count the window's sums <= x.
+        let bucket = ((x * self.scale) as usize).min(self.guide.len() - 2);
+        let lo = self.guide[bucket] as usize;
+        let below = self.prefix[lo..lo + GUIDE_WINDOW]
+            .iter()
+            .map(|&p| usize::from(p <= x))
+            .sum::<usize>();
+        let mut first = lo + below;
+        if below == GUIDE_WINDOW || (lo > 0 && sums[lo - 1] > x) {
+            first = sums.partition_point(|&p| p <= x);
+        }
+        first.clamp(1, self.sums - 1) - 1
+    }
 }
 
 /// Samples `k` distinct indices from `0..n` (Floyd's algorithm).
@@ -410,6 +521,52 @@ mod tests {
         let g = RmatGraphSpec::uniform(10, 8.0).generate(9);
         let max_deg = (0..g.nodes()).map(|v| g.degree(v)).max().unwrap();
         assert!(max_deg < 30, "uniform R-MAT hub degree {max_deg} too large");
+    }
+
+    #[test]
+    fn merge_round_equals_sort_and_dedup() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for case in 0..40 {
+            let mut keys: Vec<u64> = Vec::new();
+            let mut reference: Vec<u64> = Vec::new();
+            for _ in 0..rng.random_range(1usize..5) {
+                let deduped = keys.len();
+                for _ in 0..rng.random_range(0usize..300) {
+                    let key = rng.random_range(0..200u64);
+                    keys.push(key);
+                    reference.push(key);
+                }
+                merge_round(&mut keys, deduped);
+                reference.sort_unstable();
+                reference.dedup();
+                assert_eq!(keys, reference, "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_sampler_matches_binary_search() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for case in 0..40 {
+            let len = rng.random_range(1usize..400);
+            // Weights spanning many orders of magnitude, with exact ties.
+            let weights: Vec<f64> = (0..len)
+                .map(|_| match rng.random_range(0u32..4) {
+                    0 => 1.0,
+                    1 => rng.random_range(1e-9..1e-6),
+                    _ => rng.random_range(0.0..50.0),
+                })
+                .collect();
+            let sampler = WeightedSampler::new(&weights);
+            let sums = &sampler.prefix[..sampler.sums];
+            let (mut a, mut b) = (StdRng::seed_from_u64(case), StdRng::seed_from_u64(case));
+            for _ in 0..2_000 {
+                let got = sampler.sample(&mut a);
+                let x = b.random::<f64>() * sums[sums.len() - 1];
+                let want = sums.partition_point(|&p| p <= x).clamp(1, sums.len() - 1) - 1;
+                assert_eq!(got, want, "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use grow_sparse::{CooMatrix, CsrPattern};
+use grow_sparse::CsrPattern;
 
 /// An undirected graph stored as a symmetric CSR adjacency pattern.
 ///
@@ -34,23 +34,45 @@ impl Graph {
     ///
     /// Panics if any endpoint is `>= nodes`.
     pub fn from_edges(nodes: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let mut coo = CooMatrix::new(nodes, nodes);
-        for (u, v) in edges {
+        let edges: Vec<(u32, u32)> = edges.into_iter().collect();
+        Graph::from_edge_passes(nodes, || edges.iter().copied())
+    }
+
+    /// The [`Graph::from_edges`] build over an edge source that can be
+    /// walked twice: one pass counts degrees, the second scatters both
+    /// directions of every edge into its row (a counting sort), and
+    /// [`CsrPattern::from_unsorted_rows`] sorts and deduplicates the rows.
+    /// O(E) apart from the per-row sorts, with 4 bytes per stored entry.
+    pub(crate) fn from_edge_passes<I>(nodes: usize, edges: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
+        let mut indptr = vec![0usize; nodes + 1];
+        for (u, v) in edges() {
             assert!(
                 (u as usize) < nodes && (v as usize) < nodes,
                 "edge ({u}, {v}) out of bounds for {nodes} nodes"
             );
-            if u == v {
-                continue;
+            if u != v {
+                indptr[u as usize + 1] += 1;
+                indptr[v as usize + 1] += 1;
             }
-            coo.push(u as usize, v as usize, 1.0)
-                .expect("checked bounds");
-            coo.push(v as usize, u as usize, 1.0)
-                .expect("checked bounds");
         }
-        // to_csr sums duplicates; the values are irrelevant, only structure.
+        for i in 0..nodes {
+            indptr[i + 1] += indptr[i];
+        }
+        let mut next = indptr[..nodes].to_vec();
+        let mut indices = vec![0u32; indptr[nodes]];
+        for (u, v) in edges() {
+            if u != v {
+                indices[next[u as usize]] = v;
+                next[u as usize] += 1;
+                indices[next[v as usize]] = u;
+                next[v as usize] += 1;
+            }
+        }
         Graph {
-            adj: coo.to_csr().into_pattern(),
+            adj: CsrPattern::from_unsorted_rows(nodes, nodes, indptr, indices),
         }
     }
 
@@ -135,9 +157,8 @@ impl Graph {
     ///
     /// Panics if `perm` is not a permutation of `0..nodes`.
     pub fn relabel(&self, perm: &[u32]) -> Graph {
-        let m = self.adj.clone().with_unit_values().permute_symmetric(perm);
         Graph {
-            adj: m.into_pattern(),
+            adj: self.adj.permute_symmetric(perm),
         }
     }
 }

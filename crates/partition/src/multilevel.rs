@@ -17,6 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use grow_graph::Graph;
+use grow_sim::exec::parallel_map;
+use grow_sparse::{map_row_chunks, row_chunks};
 
 use crate::Partitioning;
 
@@ -79,21 +81,28 @@ pub fn multilevel_partition(
         let assignment = (0..n as u32).collect();
         return Partitioning::new(assignment, parts);
     }
-    let wg = WGraph::from_graph(graph);
+    let mut run = Recursion {
+        config,
+        rng: StdRng::seed_from_u64(config.seed),
+        pool: EdgePool::default(),
+        assignment: vec![0u32; n],
+    };
     let globals: Vec<u32> = (0..n as u32).collect();
-    let mut assignment = vec![0u32; n];
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    bisect_recursive(wg, globals, parts, 0, &mut assignment, config, &mut rng);
-    Partitioning::new(assignment, parts)
+    run.bisect_recursive(WGraph::from_graph(graph), globals, parts, 0);
+    Partitioning::new(run.assignment, parts)
 }
 
 /// Internal weighted graph (CSR with node and edge weights), the working
 /// representation across coarsening levels.
-#[derive(Debug, Clone)]
+///
+/// Row `v`'s `(neighbor, edge weight)` pairs are `adj[xadj[v]..xadj[v + 1]]`,
+/// interleaved because every pass reads both. Edge weights are `u32`: a
+/// coarse edge weighs the number of fine edges it merges, which is bounded
+/// by the input's edge count.
+#[derive(Debug)]
 struct WGraph {
     xadj: Vec<usize>,
-    adjncy: Vec<u32>,
-    adjwgt: Vec<u64>,
+    adj: Vec<(u32, u32)>,
     vwgt: Vec<u64>,
 }
 
@@ -102,8 +111,7 @@ impl WGraph {
         let adj = graph.adjacency();
         WGraph {
             xadj: adj.indptr().to_vec(),
-            adjncy: adj.indices().to_vec(),
-            adjwgt: vec![1; adj.nnz()],
+            adj: adj.indices().iter().map(|&u| (u, 1)).collect(),
             vwgt: vec![1; graph.nodes()],
         }
     }
@@ -116,99 +124,140 @@ impl WGraph {
         self.vwgt.iter().sum()
     }
 
-    fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
-        let range = self.xadj[v]..self.xadj[v + 1];
-        self.adjncy[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[range].iter().copied())
+    fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.adj[self.xadj[v]..self.xadj[v + 1]].iter().copied()
     }
 }
 
-fn bisect_recursive(
-    wg: WGraph,
-    globals: Vec<u32>,
-    parts: usize,
-    part_offset: u32,
-    assignment: &mut [u32],
-    config: &MultilevelConfig,
-    rng: &mut StdRng,
-) {
-    if parts == 1 {
-        for &g in &globals {
-            assignment[g as usize] = part_offset;
+/// Edge buffers recycled across the levels and bisections of one
+/// partitioning run. Every coarse level and every split half needs an
+/// edge array about as large as its parent's; handing back the arrays of
+/// graphs that are done with spares most of the fresh pages (and their
+/// page faults) later allocations would cost.
+#[derive(Default)]
+struct EdgePool(Vec<Vec<(u32, u32)>>);
+
+impl EdgePool {
+    /// An empty buffer with room for `len` entries: the smallest pooled
+    /// one that fits, else a new one.
+    fn take(&mut self, len: usize) -> Vec<(u32, u32)> {
+        let fit = (0..self.0.len())
+            .filter(|&i| self.0[i].capacity() >= len)
+            .min_by_key(|&i| self.0[i].capacity());
+        match fit {
+            Some(i) => {
+                let mut buf = self.0.swap_remove(i);
+                buf.clear();
+                buf
+            }
+            None => Vec::with_capacity(len),
         }
-        return;
     }
-    let left_parts = parts / 2;
-    let right_parts = parts - left_parts;
-    let target_left = (wg.total_weight() as f64 * left_parts as f64 / parts as f64).round() as u64;
 
-    let side = bisect(&wg, target_left, config, rng);
-
-    let (left_wg, left_globals, right_wg, right_globals) = split(&wg, &globals, &side);
-    bisect_recursive(
-        left_wg,
-        left_globals,
-        left_parts,
-        part_offset,
-        assignment,
-        config,
-        rng,
-    );
-    bisect_recursive(
-        right_wg,
-        right_globals,
-        right_parts,
-        part_offset + left_parts as u32,
-        assignment,
-        config,
-        rng,
-    );
+    fn give(&mut self, wg: WGraph) {
+        self.0.push(wg.adj);
+    }
 }
 
-/// One complete multilevel bisection: returns `side[v] == true` for nodes
-/// assigned to the left half (weight target `target_left`).
-fn bisect(wg: &WGraph, target_left: u64, config: &MultilevelConfig, rng: &mut StdRng) -> Vec<bool> {
-    // Coarsening phase: remember each level and its fine-to-coarse map.
-    // Super-node weight is capped (as in METIS) so one coarse node cannot
-    // dominate a side and wreck the balance of the initial partition.
-    let max_vwgt = ((1.5 * wg.total_weight() as f64 / config.coarsen_until.max(8) as f64).ceil()
-        as u64)
-        .max(2);
-    let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new();
-    let mut current = wg.clone();
-    while current.nodes() > config.coarsen_until.max(8) {
-        let (coarse, map) = coarsen(&current, max_vwgt, rng);
-        let reduction = 1.0 - coarse.nodes() as f64 / current.nodes() as f64;
-        levels.push((std::mem::replace(&mut current, coarse), map));
-        if reduction < 0.05 {
-            break;
+/// The state of one recursive bisection: the config, the RNG whose draw
+/// order defines the result, the buffer pool, and the part of every node.
+struct Recursion<'a> {
+    config: &'a MultilevelConfig,
+    rng: StdRng,
+    pool: EdgePool,
+    assignment: Vec<u32>,
+}
+
+impl Recursion<'_> {
+    /// Bisects `wg` (the nodes `globals`, `parts >= 2` parts numbered
+    /// from `part_offset`) and recurses into each half that still has
+    /// more than one part.
+    fn bisect_recursive(&mut self, wg: WGraph, globals: Vec<u32>, parts: usize, part_offset: u32) {
+        let left_parts = parts / 2;
+        let right_parts = parts - left_parts;
+        let target_left =
+            (wg.total_weight() as f64 * left_parts as f64 / parts as f64).round() as u64;
+
+        let side = self.bisect(&wg, target_left);
+
+        // A one-part half is assigned as a whole, so its subgraph is
+        // never built.
+        let halves = split(
+            &wg,
+            &globals,
+            &side,
+            [left_parts > 1, right_parts > 1],
+            &mut self.pool,
+        );
+        self.pool.give(wg);
+        let targets = [
+            (left_parts, part_offset),
+            (right_parts, part_offset + left_parts as u32),
+        ];
+        for ((half, half_globals), (half_parts, offset)) in halves.into_iter().zip(targets) {
+            match half {
+                Some(half) => self.bisect_recursive(half, half_globals, half_parts, offset),
+                None => {
+                    for &g in &half_globals {
+                        self.assignment[g as usize] = offset;
+                    }
+                }
+            }
         }
     }
 
-    // Initial partition on the coarsest graph.
-    let mut side = initial_bisection(&current, target_left, config, rng);
-    refine(&current, &mut side, target_left, config);
-
-    // Uncoarsen: project and refine at every level.
-    while let Some((fine, map)) = levels.pop() {
-        let mut fine_side = vec![false; fine.nodes()];
-        for (v, s) in fine_side.iter_mut().enumerate() {
-            *s = side[map[v] as usize];
+    /// One complete multilevel bisection: returns `side[v] == true` for
+    /// nodes assigned to the left half (weight target `target_left`).
+    fn bisect(&mut self, wg: &WGraph, target_left: u64) -> Vec<bool> {
+        let config = self.config;
+        // Coarsening phase: remember each level and its fine-to-coarse
+        // map. Super-node weight is capped (as in METIS) so one coarse
+        // node cannot dominate a side and wreck the balance of the
+        // initial partition.
+        let max_vwgt =
+            ((1.5 * wg.total_weight() as f64 / config.coarsen_until.max(8) as f64).ceil() as u64)
+                .max(2);
+        // Level `i` holds the graph coarsened from level `i - 1` (from
+        // `wg` for level 0) and the fine-to-coarse map between the two.
+        let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new();
+        loop {
+            let current = levels.last().map_or(wg, |(g, _)| g);
+            if current.nodes() <= config.coarsen_until.max(8) {
+                break;
+            }
+            let (coarse, map) = coarsen(current, max_vwgt, &mut self.rng, &mut self.pool);
+            let reduction = 1.0 - coarse.nodes() as f64 / current.nodes() as f64;
+            levels.push((coarse, map));
+            if reduction < 0.05 {
+                break;
+            }
         }
-        side = fine_side;
-        refine(&fine, &mut side, target_left, config);
-        current = fine;
+
+        // Initial partition on the coarsest graph.
+        let coarsest = levels.last().map_or(wg, |(g, _)| g);
+        let mut side = initial_bisection(coarsest, target_left, config, &mut self.rng);
+        refine(coarsest, &mut side, target_left, config);
+
+        // Uncoarsen: project and refine at every level.
+        while let Some((coarse, map)) = levels.pop() {
+            self.pool.give(coarse);
+            let fine = levels.last().map_or(wg, |(g, _)| g);
+            side = map.iter().map(|&c| side[c as usize]).collect();
+            refine(fine, &mut side, target_left, config);
+        }
+        side
     }
-    let _ = current;
-    side
 }
 
 /// Heavy-edge matching: each unmatched node pairs with its unmatched
 /// neighbor of maximum edge weight, subject to the super-node weight cap.
 /// Returns the coarse graph and the fine-to-coarse node map.
-fn coarsen(wg: &WGraph, max_vwgt: u64, rng: &mut StdRng) -> (WGraph, Vec<u32>) {
+fn coarsen(
+    wg: &WGraph,
+    max_vwgt: u64,
+    rng: &mut StdRng,
+    pool: &mut EdgePool,
+) -> (WGraph, Vec<u32>) {
     let n = wg.nodes();
     const UNMATCHED: u32 = u32::MAX;
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -224,7 +273,7 @@ fn coarsen(wg: &WGraph, max_vwgt: u64, rng: &mut StdRng) -> (WGraph, Vec<u32>) {
         if map[v] != UNMATCHED {
             continue;
         }
-        let mut best: Option<(u32, u64)> = None;
+        let mut best: Option<(u32, u32)> = None;
         for (u, w) in wg.neighbors(v) {
             if map[u as usize] == UNMATCHED
                 && u as usize != v
@@ -243,16 +292,13 @@ fn coarsen(wg: &WGraph, max_vwgt: u64, rng: &mut StdRng) -> (WGraph, Vec<u32>) {
         coarse_count += 1;
     }
 
-    // Build the coarse weighted graph with a scratch accumulator.
+    // Build the coarse weighted graph. Group fine nodes by coarse id
+    // (counting sort), then emit each coarse node's merged adjacency.
     let nc = coarse_count as usize;
     let mut vwgt = vec![0u64; nc];
     for v in 0..n {
         vwgt[map[v] as usize] += wg.vwgt[v];
     }
-    let mut xadj = Vec::with_capacity(nc + 1);
-    let mut adjncy: Vec<u32> = Vec::new();
-    let mut adjwgt: Vec<u64> = Vec::new();
-    // Group fine nodes by coarse id.
     let mut members_start = vec![0usize; nc + 1];
     for v in 0..n {
         members_start[map[v] as usize + 1] += 1;
@@ -266,42 +312,130 @@ fn coarsen(wg: &WGraph, max_vwgt: u64, rng: &mut StdRng) -> (WGraph, Vec<u32>) {
         members[cursor[map[v] as usize]] = v as u32;
         cursor[map[v] as usize] += 1;
     }
-
-    let mut accum = vec![0u64; nc];
-    let mut touched: Vec<u32> = Vec::new();
-    xadj.push(0);
+    // Fine edges behind each coarse node, as row pointers: the bound on
+    // each coarse row's length, and the work the chunks are cut by.
+    let mut work = Vec::with_capacity(nc + 1);
+    work.push(0usize);
     for c in 0..nc {
-        for &v in &members[members_start[c]..members_start[c + 1]] {
-            for (u, w) in wg.neighbors(v as usize) {
-                let cu = map[u as usize];
-                if cu as usize == c {
-                    continue;
-                }
-                if accum[cu as usize] == 0 {
-                    touched.push(cu);
-                }
-                accum[cu as usize] += w;
-            }
-        }
-        touched.sort_unstable();
-        for &cu in &touched {
-            adjncy.push(cu);
-            adjwgt.push(accum[cu as usize]);
-            accum[cu as usize] = 0;
-        }
-        touched.clear();
-        xadj.push(adjncy.len());
+        let fine_edges: usize = members[members_start[c]..members_start[c + 1]]
+            .iter()
+            .map(|&v| wg.xadj[v as usize + 1] - wg.xadj[v as usize])
+            .sum();
+        work.push(work[c] + fine_edges);
     }
-    (
-        WGraph {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
-        },
-        map,
-    )
+
+    // Coarse nodes are independent of one another, and a coarse row has at
+    // most as many entries as the fine edges behind it. So contiguous
+    // chunks of coarse rows are built in parallel, each into its own
+    // segment of one buffer sized by `work`, and then closed up in
+    // coarse-node order.
+    let coarse = CoarseBuild {
+        wg,
+        map: &map,
+        members: &members,
+        members_start: &members_start,
+        work: &work,
+    };
+    let mut adj = pool.take(work[nc]);
+    adj.resize(work[nc], (0, 0));
+    let chunks = map_row_chunks(&work, &mut adj, |range, segment| {
+        (work[range.start], coarse.rows(range, segment))
+    });
+    let mut xadj = Vec::with_capacity(nc + 1);
+    xadj.push(0usize);
+    for (start, ends) in chunks {
+        let base = xadj[xadj.len() - 1];
+        let len = ends.last().copied().unwrap_or(0);
+        adj.copy_within(start..start + len, base);
+        xadj.extend(ends.iter().map(|&e| base + e));
+    }
+    adj.truncate(xadj[nc]);
+    (WGraph { xadj, adj, vwgt }, map)
 }
+
+/// The read-only inputs of the coarse-graph build, shared by its chunks.
+struct CoarseBuild<'a> {
+    wg: &'a WGraph,
+    map: &'a [u32],
+    members: &'a [u32],
+    members_start: &'a [usize],
+    work: &'a [usize],
+}
+
+impl CoarseBuild<'_> {
+    /// Merges the fine adjacency of coarse nodes `range` into coarse rows
+    /// with ascending neighbours, dropping edges inside a coarse node. The
+    /// rows are written back to back from the start of `out`; returns the
+    /// end of each row within `out`.
+    ///
+    /// A row's distinct neighbours come out in ascending order one of two
+    /// ways, picked per row by its fine-edge count: rows heavy relative to
+    /// the `nc / 64` words of a neighbour bitmap mark neighbours in the
+    /// bitmap and emit them by scanning its words in order; light rows
+    /// sort the short list of distinct neighbours instead. Both give the
+    /// same row.
+    fn rows(&self, range: std::ops::Range<usize>, out: &mut [(u32, u32)]) -> Vec<usize> {
+        let nc = self.members_start.len() - 1;
+        let words = nc.div_ceil(64);
+        let mut ends = Vec::with_capacity(range.len());
+        let mut accum = vec![0u32; nc];
+        let mut bits = vec![0u64; words];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut write = 0;
+        for c in range {
+            let members = &self.members[self.members_start[c]..self.members_start[c + 1]];
+            if (self.work[c + 1] - self.work[c]) * BITMAP_EDGES_PER_WORD >= words {
+                let (mut lo, mut hi) = (words, 0);
+                for &v in members {
+                    for (u, w) in self.wg.neighbors(v as usize) {
+                        let cu = self.map[u as usize] as usize;
+                        if cu == c {
+                            continue;
+                        }
+                        accum[cu] += w;
+                        bits[cu / 64] |= 1 << (cu % 64);
+                        lo = lo.min(cu / 64);
+                        hi = hi.max(cu / 64);
+                    }
+                }
+                for (wi, word) in bits.iter_mut().enumerate().take(hi + 1).skip(lo) {
+                    let mut set = std::mem::take(word);
+                    while set != 0 {
+                        let cu = wi * 64 + set.trailing_zeros() as usize;
+                        out[write] = (cu as u32, std::mem::take(&mut accum[cu]));
+                        write += 1;
+                        set &= set - 1;
+                    }
+                }
+            } else {
+                for &v in members {
+                    for (u, w) in self.wg.neighbors(v as usize) {
+                        let cu = self.map[u as usize];
+                        if cu as usize == c {
+                            continue;
+                        }
+                        if accum[cu as usize] == 0 {
+                            touched.push(cu);
+                        }
+                        accum[cu as usize] += w;
+                    }
+                }
+                touched.sort_unstable();
+                for &cu in &touched {
+                    out[write] = (cu, std::mem::take(&mut accum[cu as usize]));
+                    write += 1;
+                }
+                touched.clear();
+            }
+            ends.push(write);
+        }
+        ends
+    }
+}
+
+/// A coarse row takes the bitmap path when its fine-edge count times this
+/// reaches the bitmap's word count (see [`CoarseBuild::rows`]).
+const BITMAP_EDGES_PER_WORD: usize = 2;
 
 /// Greedy region growing: BFS from a random seed, always absorbing the
 /// frontier node with the highest gain, until the left side reaches its
@@ -373,7 +507,7 @@ fn cut_weight(wg: &WGraph, side: &[bool]) -> u64 {
     for v in 0..wg.nodes() {
         for (u, w) in wg.neighbors(v) {
             if side[v] != side[u as usize] {
-                cut += w;
+                cut += u64::from(w);
             }
         }
     }
@@ -429,23 +563,7 @@ fn refine(wg: &WGraph, side: &mut [bool], target_left: u64, config: &MultilevelC
     }
 
     for _ in 0..config.refine_passes {
-        // Gains of boundary nodes: moving v to the other side changes the
-        // cut by external - internal edge weight.
-        let mut moves: Vec<(i64, u32)> = Vec::new();
-        for v in 0..wg.nodes() {
-            let mut internal = 0i64;
-            let mut external = 0i64;
-            for (u, w) in wg.neighbors(v) {
-                if side[u as usize] == side[v] {
-                    internal += w as i64;
-                } else {
-                    external += w as i64;
-                }
-            }
-            if external > 0 {
-                moves.push((external - internal, v as u32));
-            }
-        }
+        let mut moves = boundary_gains(wg, side);
         moves.sort_unstable_by(|a, b| b.cmp(a));
         let mut applied = 0usize;
         for (gain, v) in moves {
@@ -485,48 +603,85 @@ fn refine(wg: &WGraph, side: &mut [bool], target_left: u64, config: &MultilevelC
     }
 }
 
-/// Splits a weighted graph into the two side-induced subgraphs, dropping
-/// cut edges, and maps local node IDs back to the caller's globals.
-fn split(wg: &WGraph, globals: &[u32], side: &[bool]) -> (WGraph, Vec<u32>, WGraph, Vec<u32>) {
-    let n = wg.nodes();
-    let mut local = vec![0u32; n];
-    let mut left_globals = Vec::new();
-    let mut right_globals = Vec::new();
-    for v in 0..n {
-        if side[v] {
-            local[v] = left_globals.len() as u32;
-            left_globals.push(globals[v]);
-        } else {
-            local[v] = right_globals.len() as u32;
-            right_globals.push(globals[v]);
-        }
-    }
-    let build = |want: bool| {
-        let mut xadj = vec![0usize];
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
-        let mut vwgt = Vec::new();
-        for v in 0..n {
-            if side[v] != want {
-                continue;
-            }
+/// Gains of the boundary nodes, ascending by node: moving `v` to the
+/// other side changes the cut by its external minus internal edge
+/// weight. Each node's gain reads only the current sides, so the nodes
+/// are scanned in parallel chunks (fixed by the row pointers) and the
+/// chunk results are concatenated in node order.
+fn boundary_gains(wg: &WGraph, side: &[bool]) -> Vec<(i64, u32)> {
+    let chunks = parallel_map(row_chunks(&wg.xadj), |_, nodes| {
+        let mut moves = Vec::new();
+        for v in nodes {
+            let mut internal = 0i64;
+            let mut external = 0i64;
             for (u, w) in wg.neighbors(v) {
-                if side[u as usize] == want {
-                    adjncy.push(local[u as usize]);
-                    adjwgt.push(w);
+                if side[u as usize] == side[v] {
+                    internal += i64::from(w);
+                } else {
+                    external += i64::from(w);
                 }
             }
-            xadj.push(adjncy.len());
-            vwgt.push(wg.vwgt[v]);
+            if external > 0 {
+                moves.push((external - internal, v as u32));
+            }
         }
-        WGraph {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
+        moves
+    });
+    chunks.concat()
+}
+
+/// Splits a weighted graph into the two side-induced subgraphs (left
+/// first), dropping cut edges, and maps local node IDs back to the
+/// caller's globals. A half's subgraph is built only if `build` asks for
+/// it; its globals always are.
+fn split(
+    wg: &WGraph,
+    globals: &[u32],
+    side: &[bool],
+    build: [bool; 2],
+    pool: &mut EdgePool,
+) -> [(Option<WGraph>, Vec<u32>); 2] {
+    let n = wg.nodes();
+    let half_of = |v: usize| usize::from(!side[v]);
+    let mut local = vec![0u32; n];
+    let mut half_globals: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+    for v in 0..n {
+        let h = &mut half_globals[half_of(v)];
+        local[v] = h.len() as u32;
+        h.push(globals[v]);
+    }
+    // A half's degree sum bounds its edges, so no half reallocates.
+    let mut halves: [Option<WGraph>; 2] = [0, 1].map(|h| {
+        build[h].then(|| {
+            let edges = (0..n)
+                .filter(|&v| half_of(v) == h)
+                .map(|v| wg.xadj[v + 1] - wg.xadj[v])
+                .sum();
+            let mut xadj = Vec::with_capacity(half_globals[h].len() + 1);
+            xadj.push(0);
+            WGraph {
+                xadj,
+                adj: pool.take(edges),
+                vwgt: Vec::with_capacity(half_globals[h].len()),
+            }
+        })
+    });
+    // One pass in node order, each node appending to its own half.
+    for v in 0..n {
+        let Some(half) = &mut halves[half_of(v)] else {
+            continue;
+        };
+        for (u, w) in wg.neighbors(v) {
+            if side[u as usize] == side[v] {
+                half.adj.push((local[u as usize], w));
+            }
         }
-    };
-    (build(true), left_globals, build(false), right_globals)
+        half.xadj.push(half.adj.len());
+        half.vwgt.push(wg.vwgt[v]);
+    }
+    let [left, right] = halves;
+    let [left_globals, right_globals] = half_globals;
+    [(left, left_globals), (right, right_globals)]
 }
 
 #[cfg(test)]

@@ -682,10 +682,16 @@ impl BatchService {
             .collect();
         let budget = batch_budget(tasks.len());
         let plan_cache = &self.plan_cache;
+        // Session creation (graph generation, features) runs under the
+        // same inner budget as preparation: the generator fans out too.
         let prepared = parallel_map(tasks, |_, (session, key, job, strategies)| {
             let created = session.is_none();
-            let mut session = session.unwrap_or_else(|| new_session(job, Arc::clone(plan_cache)));
-            let newly_prepared = budget.apply(|| session.prepare_all(&strategies));
+            let (session, newly_prepared) = budget.apply(|| {
+                let mut session =
+                    session.unwrap_or_else(|| new_session(job, Arc::clone(plan_cache)));
+                let newly_prepared = session.prepare_all(&strategies);
+                (session, newly_prepared)
+            });
             (key, session, created, newly_prepared)
         });
         for (key, session, created, newly_prepared) in prepared {

@@ -811,8 +811,11 @@ fn prepare_for(
     // budget as the compute (memoized strategies make this a no-op
     // lookup).
     let created = session.is_none();
-    let mut session = session.unwrap_or_else(|| new_session(job, plan_cache));
-    let newly_prepared = budget.apply(|| session.prepare_all(std::slice::from_ref(&job.strategy)));
+    let (session, newly_prepared) = budget.apply(|| {
+        let mut session = session.unwrap_or_else(|| new_session(job, plan_cache));
+        let newly_prepared = session.prepare_all(std::slice::from_ref(&job.strategy));
+        (session, newly_prepared)
+    });
     let prepared = session
         .get_prepared_arc(job.strategy)
         .expect("just prepared");

@@ -1,5 +1,6 @@
 use std::fmt;
 
+use crate::rows::map_row_chunks;
 use crate::{CscMatrix, DenseMatrix, SparseError};
 
 /// The structure (row pointers + column indices) of a CSR matrix, without
@@ -107,6 +108,113 @@ impl CsrPattern {
         CsrPattern {
             rows,
             cols,
+            indptr,
+            indices,
+        }
+    }
+
+    /// Builds a pattern from rows that are bucketed but not sorted: row
+    /// `r`'s columns are `indices[indptr[r]..indptr[r + 1]]`, in any order
+    /// and possibly repeated. Each row is sorted and its duplicates are
+    /// dropped, which makes this the O(nnz) tail of a counting-sort CSR
+    /// build (no per-entry values, no COO triplets).
+    ///
+    /// Rows are sorted in parallel chunks (see [`crate::row_chunks`]);
+    /// the result does not depend on the execution mode.
+    ///
+    /// ```
+    /// use grow_sparse::CsrPattern;
+    ///
+    /// let p = CsrPattern::from_unsorted_rows(2, 4, vec![0, 3, 4], vec![3, 0, 3, 1]);
+    /// assert_eq!(p.row_indices(0), &[0, 3]);
+    /// assert_eq!(p.row_indices(1), &[1]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indptr` is not `rows + 1` non-decreasing offsets from 0
+    /// to `indices.len()`, or if a column is `>= cols`.
+    pub fn from_unsorted_rows(
+        rows: usize,
+        cols: usize,
+        mut indptr: Vec<usize>,
+        mut indices: Vec<u32>,
+    ) -> CsrPattern {
+        assert_eq!(indptr.len(), rows + 1, "indptr must have rows + 1 entries");
+        assert_eq!(indptr[0], 0, "indptr[0] must be 0");
+        assert_eq!(indptr[rows], indices.len(), "indptr[rows] must equal nnz");
+        assert!(
+            indptr.windows(2).all(|w| w[0] <= w[1]),
+            "indptr must be non-decreasing"
+        );
+        // Sort each row and move its distinct columns to the front of its
+        // segment; the compaction below closes the gaps.
+        let offsets = &indptr;
+        let distinct: Vec<Vec<usize>> = map_row_chunks(offsets, &mut indices, |range, segment| {
+            let base = offsets[range.start];
+            range
+                .map(|r| {
+                    let row = &mut segment[offsets[r] - base..offsets[r + 1] - base];
+                    row.sort_unstable();
+                    if let Some(&last) = row.last() {
+                        assert!(
+                            (last as usize) < cols,
+                            "column {last} in row {r} out of bounds for {cols} columns"
+                        );
+                    }
+                    let mut kept = 0;
+                    for i in 0..row.len() {
+                        if kept == 0 || row[i] != row[kept - 1] {
+                            row[kept] = row[i];
+                            kept += 1;
+                        }
+                    }
+                    kept
+                })
+                .collect()
+        });
+        let mut write = 0;
+        let mut old_start = 0;
+        for (r, kept) in distinct.into_iter().flatten().enumerate() {
+            let old_end = indptr[r + 1];
+            if write != old_start {
+                indices.copy_within(old_start..old_start + kept, write);
+            }
+            write += kept;
+            indptr[r + 1] = write;
+            old_start = old_end;
+        }
+        indices.truncate(write);
+        CsrPattern {
+            rows,
+            cols,
+            indptr,
+            indices,
+        }
+    }
+
+    /// Returns the pattern with rows and columns permuted by `perm`, where
+    /// `perm[old] = new` — the pattern-only form of
+    /// [`CsrMatrix::permute_symmetric`], with no per-entry values.
+    ///
+    /// ```
+    /// use grow_sparse::CsrPattern;
+    ///
+    /// let p = CsrPattern::from_unsorted_rows(3, 3, vec![0, 1, 2, 2], vec![1, 0]);
+    /// let q = p.permute_symmetric(&[2, 1, 0]);
+    /// assert_eq!(q.row_indices(2), &[1]);
+    /// assert_eq!(q.row_indices(1), &[2]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern is not square, `perm.len() != rows`, or `perm`
+    /// is not a permutation.
+    pub fn permute_symmetric(&self, perm: &[u32]) -> CsrPattern {
+        let (indptr, indices) = permute_entries(self, perm, |_, col| col, |&col| col);
+        CsrPattern {
+            rows: self.rows,
+            cols: self.cols,
             indptr,
             indices,
         }
@@ -523,52 +631,82 @@ impl CsrMatrix {
     /// Panics if the matrix is not square, `perm.len() != rows`, or `perm` is
     /// not a permutation.
     pub fn permute_symmetric(&self, perm: &[u32]) -> CsrMatrix {
-        assert_eq!(
-            self.rows(),
-            self.cols(),
-            "symmetric permutation needs a square matrix"
+        let values = &self.values;
+        let (indptr, entries) = permute_entries(
+            &self.pattern,
+            perm,
+            |pos, col| (col, values[pos]),
+            |&(col, _)| col,
         );
-        assert_eq!(
-            perm.len(),
-            self.rows(),
-            "permutation length must equal matrix order"
-        );
-        let n = self.rows();
-        let mut seen = vec![false; n];
-        for &p in perm {
-            assert!(!seen[p as usize], "perm is not a permutation");
-            seen[p as usize] = true;
-        }
-        let mut inv = vec![0u32; n];
-        for (old, &new) in perm.iter().enumerate() {
-            inv[new as usize] = old as u32;
-        }
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        indptr.push(0usize);
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for &old in inv.iter().take(n) {
-            let old_r = old as usize;
-            scratch.clear();
-            scratch.extend(self.row_entries(old_r).map(|(c, v)| (perm[c as usize], v)));
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            for &(c, v) in &scratch {
-                indices.push(c);
-                values.push(v);
-            }
-            indptr.push(indices.len());
-        }
+        let (indices, values) = entries.into_iter().unzip();
         CsrMatrix {
             pattern: CsrPattern {
-                rows: n,
-                cols: n,
+                rows: self.rows(),
+                cols: self.cols(),
                 indptr,
                 indices,
             },
             values,
         }
     }
+}
+
+/// The shared body of the symmetric permutations: validates `perm`, then
+/// fills new row `perm[old]` with `entry(position, perm[col])` for every
+/// stored `(old, col)` and sorts each row by `col_of`. Rows are filled and
+/// sorted in parallel chunks; columns within a row are distinct, so the
+/// unstable sort has a single possible outcome.
+fn permute_entries<E, N, C>(
+    pattern: &CsrPattern,
+    perm: &[u32],
+    entry: N,
+    col_of: C,
+) -> (Vec<usize>, Vec<E>)
+where
+    E: Copy + Default + Send,
+    N: Fn(usize, u32) -> E + Sync,
+    C: Fn(&E) -> u32 + Sync,
+{
+    assert_eq!(
+        pattern.rows, pattern.cols,
+        "symmetric permutation needs a square matrix"
+    );
+    assert_eq!(
+        perm.len(),
+        pattern.rows,
+        "permutation length must equal matrix order"
+    );
+    let n = pattern.rows;
+    let mut inv = vec![u32::MAX; n];
+    for (old, &new) in perm.iter().enumerate() {
+        assert!(
+            (new as usize) < n && inv[new as usize] == u32::MAX,
+            "perm is not a permutation"
+        );
+        inv[new as usize] = old as u32;
+    }
+    let mut indptr = Vec::with_capacity(n + 1);
+    let mut end = 0usize;
+    indptr.push(end);
+    for &old in &inv {
+        end += pattern.row_nnz(old as usize);
+        indptr.push(end);
+    }
+    let mut entries = vec![E::default(); pattern.nnz()];
+    let offsets = &indptr;
+    map_row_chunks(offsets, &mut entries, |range, segment| {
+        let base = offsets[range.start];
+        for r in range {
+            let old = inv[r] as usize;
+            let source = pattern.indptr[old]..pattern.indptr[old + 1];
+            let row = &mut segment[offsets[r] - base..offsets[r + 1] - base];
+            for (slot, pos) in row.iter_mut().zip(source) {
+                *slot = entry(pos, perm[pattern.indices[pos] as usize]);
+            }
+            row.sort_unstable_by_key(&col_of);
+        }
+    });
+    (indptr, entries)
 }
 
 /// Borrowing iterator over `(column indices, values)` slice pairs of a

@@ -39,6 +39,7 @@ mod csc;
 mod csr;
 mod dense;
 mod error;
+mod rows;
 mod view;
 
 pub mod analysis;
@@ -49,4 +50,5 @@ pub use csc::CscMatrix;
 pub use csr::{CsrMatrix, CsrPattern, RowSlices, RowValueSlices};
 pub use dense::DenseMatrix;
 pub use error::SparseError;
+pub use rows::{map_row_chunks, row_chunks, PARALLEL_MIN_NNZ};
 pub use view::{RowMajorSparse, SparseRowIter};
