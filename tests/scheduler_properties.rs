@@ -7,7 +7,10 @@
 //!   can finish faster than running alone on the full channel);
 //! * busy-cycle conservation: per-PE busy cycles and per-cluster
 //!   in-system cycles are two groupings of the same time;
-//! * with one PE all three schedulers coincide.
+//! * with one PE all three schedulers coincide;
+//! * the fluid model's output is pinned bit for bit by an FNV-1a
+//!   fingerprint over a fixed grid of workloads, schedulers, PE counts
+//!   and memory topologies.
 //!
 //! Bandwidths are powers of two so the fluid arithmetic stays exact where
 //! the properties claim exactness.
@@ -15,6 +18,7 @@
 use grow::accel::multi_pe::{self, MultiPeRun};
 use grow::accel::schedule::{power_law_profiles, SchedulerKind};
 use grow::accel::ClusterProfile;
+use grow::sim::{DramConfig, MemTopology};
 
 const BW: f64 = 4.0;
 
@@ -205,4 +209,62 @@ fn legacy_round_robin_entry_point_is_bit_identical() {
             );
         }
     }
+}
+
+/// FNV-1a over the bit patterns of every `f64` a run reports.
+fn fingerprint(hash: &mut u64, run: &MultiPeRun) {
+    let words = std::iter::once(run.makespan)
+        .chain(run.per_pe_busy.iter().copied())
+        .chain(run.cluster_cycles.iter().copied());
+    for word in words {
+        for b in word.to_bits().to_le_bytes() {
+            *hash ^= b as u64;
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+#[test]
+fn fluid_model_fingerprints_are_pinned() {
+    // Recorded before the two fluid event loops were merged into one:
+    // the post-hoc projection and the calibrated end-to-end model on the
+    // uniform pipe and on three banked topologies must keep every bit.
+    const EXPECTED: [(&str, u64); 5] = [
+        ("post_hoc", 0xb82c_92f2_960b_981d),
+        ("e2e_1x1", 0xfb1c_8981_3d99_0780),
+        ("e2e_1x8", 0x1e41_6692_64d8_6f43),
+        ("e2e_4x8", 0x86e4_f92d_f42d_3f1b),
+        ("e2e_3x2", 0x0264_db22_04d6_0de5),
+    ];
+    let dram = DramConfig::default();
+    // `None` is the post-hoc projection; `Some((channels, banks))` the
+    // end-to-end model on that memory topology.
+    let variants = [None, Some((1, 1)), Some((1, 8)), Some((4, 8)), Some((3, 2))];
+    let mut actual = Vec::new();
+    for (&(name, _), variant) in EXPECTED.iter().zip(variants) {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for n in [24usize, 96, 257] {
+            for seed in 1..=3u64 {
+                let profiles = power_law_profiles(n, seed);
+                for kind in SchedulerKind::ALL {
+                    for pes in [1usize, 3, 8, 16] {
+                        let run = match variant {
+                            None => multi_pe::simulate_with(&profiles, pes, BW, kind),
+                            Some((channels, banks)) => multi_pe::simulate_e2e_banked(
+                                &profiles,
+                                pes,
+                                BW,
+                                kind,
+                                &dram,
+                                MemTopology::new(channels, banks),
+                            ),
+                        };
+                        fingerprint(&mut hash, &run);
+                    }
+                }
+            }
+        }
+        actual.push((name, hash));
+    }
+    assert_eq!(actual, EXPECTED, "fluid model output drifted");
 }
