@@ -12,21 +12,20 @@
 //!   per-cluster profiles ([`crate::schedule::summarize`]). Scheduling can
 //!   never change a phase counter.
 //! * [`ExecModelKind::EndToEnd`] (`exec=e2e`) — `pes=N` is a real
-//!   execution mode: each phase's clusters are dispatched through the
-//!   configured [`Scheduler`](crate::schedule::Scheduler) onto `N`
+//!   execution mode: each phase's clusters are dispatched by the
+//!   configured [`SchedulerKind`](crate::schedule::SchedulerKind) onto `N`
 //!   virtual PEs that contend for the shared memory system under
 //!   water-filling bandwidth sharing ([`multi_pe::simulate_e2e`]) — with a
 //!   non-default channel/bank topology
 //!   ([`MemTopology`](grow_sim::MemTopology), registry keys `channels=` /
-//!   `banks=`) the banked contention model
-//!   ([`multi_pe::simulate_e2e_banked`]) adds per-request bank-conflict
-//!   stalls on top — and the resulting makespan *is* the phase's cycle
-//!   count. Combination and
+//!   `banks=`) the same fluid loop adds per-request bank-conflict stalls
+//!   on top — and the resulting makespan *is* the phase's cycle count.
+//!   Combination and
 //!   aggregation timelines compose with inter-phase (and inter-layer)
 //!   sync barriers: a phase's cluster fan-out starts only after the
 //!   previous phase — and any serial prologue — has fully drained. Each
 //!   phase carries its per-PE busy breakdown
-//!   ([`PhasePeBusy`](crate::report::PhasePeBusy)), assembled per layer
+//!   ([`PhasePeBusy`]), assembled per layer
 //!   into the report's [`MultiPeBreakdown`](crate::MultiPeBreakdown).
 //!
 //! The end-to-end fluid durations are calibrated against the detailed
@@ -163,7 +162,7 @@ impl ExecModel {
             merged.absorb_sequential(partial);
         }
         if self.cfg.exec == ExecModelKind::EndToEnd {
-            let run = multi_pe::simulate_e2e_banked(
+            let run = multi_pe::simulate_e2e(
                 &merged.cluster_profiles,
                 self.cfg.pes,
                 self.per_pe_bytes_per_cycle,

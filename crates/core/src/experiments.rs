@@ -238,16 +238,42 @@ pub fn spsp_comparison(eval: &DatasetEval) -> SpSpComparison {
     }
 }
 
+/// One point of the Figure 24 scaling curve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScalingPoint {
+    /// Number of processing engines (memory bandwidth scales with it).
+    pub pes: usize,
+    /// Makespan in cycles under the fluid model.
+    pub cycles: f64,
+    /// Throughput normalized to the 1-PE configuration.
+    pub normalized_throughput: f64,
+}
+
 /// PE-count scaling (Figure 24) from the partitioned GROW run's cluster
-/// profiles, with bandwidth proportional to the PE count.
-pub fn pe_scaling(eval: &DatasetEval, pe_counts: &[usize]) -> Vec<multi_pe::ScalingPoint> {
+/// profiles, with bandwidth proportional to the PE count: the post-hoc
+/// round-robin projection at each PE count, normalized to one PE.
+pub fn pe_scaling(eval: &DatasetEval, pe_counts: &[usize]) -> Vec<ScalingPoint> {
     let report = GrowEngine::default().run(&eval.partitioned);
     let profiles = report.cluster_profiles();
-    multi_pe::scaling_curve(
-        &profiles,
-        pe_counts,
-        GrowConfig::default().dram.bytes_per_cycle,
-    )
+    let bw = GrowConfig::default().dram.bytes_per_cycle;
+    let makespan =
+        |pes| multi_pe::simulate_with(&profiles, pes, bw, SchedulerKind::RoundRobin).makespan;
+    let base = makespan(1);
+    pe_counts
+        .iter()
+        .map(|&pes| {
+            let cycles = makespan(pes);
+            ScalingPoint {
+                pes,
+                cycles,
+                normalized_throughput: if cycles > 0.0 {
+                    base / cycles
+                } else {
+                    f64::INFINITY
+                },
+            }
+        })
+        .collect()
 }
 
 /// One point of the extended Figure 24 study: a scheduler × PE-count cell

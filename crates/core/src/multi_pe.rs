@@ -14,29 +14,19 @@
 //! the memory-demanding PEs split the shared channel by water-filling,
 //! while compute-bound PEs leave their share to others.
 //!
-//! Which PE runs which cluster is decided by a pluggable
-//! [`Scheduler`](crate::schedule::Scheduler) — see [`crate::schedule`] for
-//! the policies (`rr`, `lpt`, `ws`, `ca`). [`simulate`] keeps the original
-//! round-robin behavior bit-identically; [`simulate_with`] exposes the full
-//! per-PE accounting under any scheduler; [`simulate_e2e`] is the
-//! calibrated variant the end-to-end execution model
-//! ([`crate::exec_model`]) composes phase cycle counts with.
+//! One event loop serves two entry points. [`simulate_with`] is the
+//! post-hoc projection (the paper's Figure 24 methodology, used by
+//! [`crate::schedule::summarize`] and the `fig24` curve);
+//! [`simulate_e2e`] is the calibrated variant the end-to-end execution
+//! model ([`crate::exec_model`]) composes phase cycle counts with, on the
+//! uniform pipe or a banked channel topology. Which PE runs which cluster
+//! is decided by [`SchedulerKind::dispatcher`] — see [`crate::schedule`]
+//! for the policies (`rr`, `lpt`, `ws`, `ca`).
 
 use grow_sim::{fault, DramConfig, MemTopology};
 
-use crate::schedule::{Scheduler, SchedulerKind};
+use crate::schedule::SchedulerKind;
 use crate::ClusterProfile;
-
-/// One point of the Figure 24 scaling curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingPoint {
-    /// Number of processing engines (memory bandwidth scales with it).
-    pub pes: usize,
-    /// Makespan in cycles under the fluid model.
-    pub cycles: f64,
-    /// Throughput normalized to the 1-PE configuration.
-    pub normalized_throughput: f64,
-}
 
 /// Full accounting of one fluid multi-PE simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,47 +53,33 @@ impl MultiPeRun {
         self.per_pe_busy.iter().sum()
     }
 
-    /// Load-imbalance ratio: busiest PE over mean PE busy time. 1.0 means
-    /// perfectly balanced; `pes` means one PE did all the work. Defined as
-    /// 1.0 for an empty run *and* for a degenerate run whose busy total is
-    /// zero or non-finite (a non-empty fleet of zero-cycle clusters must
-    /// not divide by 0.0 into a NaN).
+    /// Load-imbalance ratio: busiest PE over mean PE busy time (1.0 for
+    /// an empty, balanced, or degenerate run — never NaN).
     pub fn imbalance(&self) -> f64 {
-        let total = self.busy_total();
-        // The NaN check matters: a poisoned busy vector would otherwise
-        // sail through `<= 0.0` and propagate NaN out of the division.
-        if total.is_nan() || total <= 0.0 || self.per_pe_busy.is_empty() {
-            return 1.0;
-        }
-        let max = self.per_pe_busy.iter().cloned().fold(0.0f64, f64::max);
-        max * self.per_pe_busy.len() as f64 / total
+        imbalance(&self.per_pe_busy)
     }
 }
 
-/// Simulates `pes` PEs working through `profiles` under the original
-/// round-robin cluster assignment against a shared memory channel of
-/// `pes * per_pe_bytes_per_cycle`. Returns the makespan in cycles.
-///
-/// This is the legacy entry point; [`simulate_with`] selects the scheduler
-/// and returns the full per-PE accounting. Round-robin results are
-/// bit-identical between the two.
-///
-/// # Panics
-///
-/// Panics if `pes == 0` or the bandwidth is not positive.
-pub fn simulate(profiles: &[ClusterProfile], pes: usize, per_pe_bytes_per_cycle: f64) -> f64 {
-    simulate_with(
-        profiles,
-        pes,
-        per_pe_bytes_per_cycle,
-        SchedulerKind::RoundRobin,
-    )
-    .makespan
+/// Load-imbalance ratio of per-PE busy times: busiest PE over mean PE busy
+/// time. 1.0 means perfectly balanced; `pes` means one PE did all the
+/// work. Defined as 1.0 for an empty fleet *and* for a degenerate one
+/// whose busy total is zero or non-finite (a non-empty fleet of
+/// zero-cycle clusters must not divide by 0.0 into a NaN).
+pub(crate) fn imbalance(per_pe_busy: &[f64]) -> f64 {
+    let total: f64 = per_pe_busy.iter().sum();
+    // The NaN check matters: a poisoned busy vector would otherwise sail
+    // through `<= 0.0` and propagate NaN out of the division.
+    if total.is_nan() || total <= 0.0 || per_pe_busy.is_empty() {
+        return 1.0;
+    }
+    let max = per_pe_busy.iter().cloned().fold(0.0f64, f64::max);
+    max * per_pe_busy.len() as f64 / total
 }
 
-/// Simulates `pes` PEs working through `profiles` with cluster-to-PE
-/// assignment decided by `scheduler`, against a shared memory channel of
-/// `pes * per_pe_bytes_per_cycle`.
+/// The post-hoc projection: simulates `pes` PEs working through
+/// `profiles`, with cluster-to-PE assignment decided by `scheduler`,
+/// against a shared memory channel of `pes * per_pe_bytes_per_cycle`.
+/// Each task runs for `max(C, M/a)` cycles at allocated bandwidth `a`.
 ///
 /// # Panics
 ///
@@ -114,31 +90,19 @@ pub fn simulate_with(
     per_pe_bytes_per_cycle: f64,
     scheduler: SchedulerKind,
 ) -> MultiPeRun {
-    simulate_scheduled(
+    fluid(
         profiles,
         pes,
         per_pe_bytes_per_cycle,
-        scheduler.scheduler().as_ref(),
+        scheduler,
+        false,
+        &DramConfig::default(),
+        MemTopology::default(),
     )
 }
 
-/// [`simulate_with`] over an arbitrary (possibly user-supplied)
-/// [`Scheduler`] implementation.
-///
-/// # Panics
-///
-/// Panics if `pes == 0` or the bandwidth is not positive.
-pub fn simulate_scheduled(
-    profiles: &[ClusterProfile],
-    pes: usize,
-    per_pe_bytes_per_cycle: f64,
-    scheduler: &dyn Scheduler,
-) -> MultiPeRun {
-    simulate_fluid(profiles, pes, per_pe_bytes_per_cycle, scheduler, false)
-}
-
 /// The end-to-end fluid co-simulation (`exec=e2e`): like
-/// [`simulate_scheduled`], but each cluster-task's duration is *calibrated
+/// [`simulate_with`], but each cluster-task's duration is *calibrated
 /// against its detailed standalone timeline* ([`ClusterProfile::cycles`]).
 /// A task with detailed makespan `T`, MAC-busy `C`, and transfer `M` runs
 /// for `max(C, M/a) + S` cycles at allocated bandwidth `a`, where
@@ -150,6 +114,17 @@ pub fn simulate_scheduled(
 /// `a > B` they shrink (borrowing idle bandwidth, the Section VII-F
 /// super-linearity mechanism).
 ///
+/// On any `topology` but the uniform `1x1` pipe, clusters interleave
+/// across `topology.channels` by index, and each memory-active task pays
+/// a per-request bank-conflict stall proportional to how many other
+/// memory-active tasks share its home channel (amortized over
+/// `topology.banks`; the per-request cost reuses
+/// [`DramConfig::request_overhead_cycles`], see
+/// [`MemTopology::conflict_penalty_per_byte`]). With one PE no two tasks
+/// are ever co-resident, so no stall accrues. The `1x1` topology charges
+/// no conflict term at all: it is *defined* as the idealized shared pipe
+/// the committed e2e golden snapshots model.
+///
 /// # Panics
 ///
 /// Panics if `pes == 0` or the bandwidth is not positive.
@@ -158,80 +133,43 @@ pub fn simulate_e2e(
     pes: usize,
     per_pe_bytes_per_cycle: f64,
     scheduler: SchedulerKind,
-) -> MultiPeRun {
-    simulate_fluid(
-        profiles,
-        pes,
-        per_pe_bytes_per_cycle,
-        scheduler.scheduler().as_ref(),
-        true,
-    )
-}
-
-/// [`simulate_e2e`] against a banked multi-channel memory system: clusters
-/// interleave across `topology.channels` by index, and each memory-active
-/// task pays a per-request bank-conflict stall proportional to how many
-/// other memory-active tasks share its home channel (amortized over
-/// `topology.banks`; the per-request cost reuses
-/// [`DramConfig::request_overhead_cycles`], see
-/// [`MemTopology::conflict_penalty_per_byte`]). The calibration residue is
-/// unchanged, so with one PE no two tasks are ever co-resident, no stall
-/// accrues, and the run still reproduces the detailed sequential
-/// composition bit-identically.
-///
-/// The uniform `1x1` topology short-circuits to [`simulate_e2e`]'s exact
-/// legacy path — `channels=1 banks=1` is *defined* as the idealized shared
-/// pipe the committed e2e golden snapshots model, so those bytes are
-/// reproduced by construction.
-///
-/// Schedulers are built through
-/// [`Scheduler::dispatcher_banked`](crate::schedule::Scheduler::dispatcher_banked),
-/// so channel-affinity-aware policies (`ca`) see the topology while the
-/// oblivious ones dispatch exactly as they do on the uniform pipe.
-///
-/// # Panics
-///
-/// Panics if `pes == 0` or the bandwidth is not positive.
-pub fn simulate_e2e_banked(
-    profiles: &[ClusterProfile],
-    pes: usize,
-    per_pe_bytes_per_cycle: f64,
-    scheduler: SchedulerKind,
     dram: &DramConfig,
     topology: MemTopology,
 ) -> MultiPeRun {
-    if topology.is_uniform() {
-        return simulate_e2e(profiles, pes, per_pe_bytes_per_cycle, scheduler);
-    }
-    simulate_fluid_banked(
+    fluid(
         profiles,
         pes,
         per_pe_bytes_per_cycle,
-        scheduler.scheduler().as_ref(),
+        scheduler,
+        true,
         dram,
         topology,
     )
 }
 
-/// The banked variant of [`simulate_fluid`], always calibrated (`e2e`).
-/// Same event loop and water-filling; the only additions are the home
-/// channels and the co-residency-dependent conflict stall folded into each
-/// task's memory time. Conflict terms are piecewise-constant between
+/// The fluid event loop behind both entry points. `calibrated` adds each
+/// task's serialization residue `S` (0 in the post-hoc projection);
+/// `(dram, topology)` is the contention model, with a conflict term only
+/// off the uniform pipe. Conflict terms are piecewise-constant between
 /// completion events (the live set only changes there), so the
 /// minimum-completion event stepping stays exact.
-fn simulate_fluid_banked(
+fn fluid(
     profiles: &[ClusterProfile],
     pes: usize,
     per_pe_bytes_per_cycle: f64,
-    scheduler: &dyn Scheduler,
+    scheduler: SchedulerKind,
+    calibrated: bool,
     dram: &DramConfig,
     topology: MemTopology,
 ) -> MultiPeRun {
     assert!(pes > 0, "at least one PE");
     assert!(per_pe_bytes_per_cycle > 0.0, "bandwidth must be positive");
     let total_bw = pes as f64 * per_pe_bytes_per_cycle;
-    let mut dispatch = scheduler.dispatcher_banked(profiles, pes, per_pe_bytes_per_cycle, topology);
+    let banked = !topology.is_uniform();
+    let mut dispatch = scheduler.dispatcher(profiles, pes, per_pe_bytes_per_cycle, topology);
 
+    // Active task per PE: cluster index, compute total, mem total, serial
+    // residue, fraction remaining, home channel (0 on the uniform pipe).
     struct Task {
         idx: usize,
         c: f64,
@@ -243,9 +181,13 @@ fn simulate_fluid_banked(
     let spawn = |i: usize| {
         let c = profiles[i].compute_cycles as f64;
         let m = profiles[i].mem_bytes as f64;
-        // Calibration residue, identical to the uniform e2e path: the
-        // detailed timeline beyond the overlap model's fair-share estimate.
-        let s = (profiles[i].cycles as f64 - c.max(m / per_pe_bytes_per_cycle)).max(0.0);
+        // Serial residue of the detailed timeline beyond the overlap
+        // model's fair-share estimate (0 in the uncalibrated projection).
+        let s = if calibrated {
+            (profiles[i].cycles as f64 - c.max(m / per_pe_bytes_per_cycle)).max(0.0)
+        } else {
+            0.0
+        };
         Task {
             idx: i,
             c,
@@ -269,171 +211,48 @@ fn simulate_fluid_banked(
         .collect();
     let mut busy = vec![0.0f64; pes];
     let mut cluster_cycles = vec![0.0f64; profiles.len()];
+    // Per-event scratch, reused across events.
+    let mut live: Vec<usize> = Vec::with_capacity(pes);
+    let mut order: Vec<(f64, usize)> = Vec::with_capacity(pes);
+    let mut alloc = vec![0.0f64; pes];
+    let mut rates = vec![0.0f64; pes];
+    let mut channel_load = vec![0usize; topology.channels];
 
     let mut t = 0.0f64;
     loop {
-        let live: Vec<usize> = (0..pes).filter(|&p| active[p].is_some()).collect();
+        live.clear();
+        live.extend((0..pes).filter(|&p| active[p].is_some()));
         if live.is_empty() {
             break;
         }
         // Memory-active co-residency per channel: how many live tasks with
         // traffic are homed on each channel right now.
-        let mut channel_load = vec![0usize; topology.channels];
-        for &p in &live {
-            let task = active[p].as_ref().expect("live");
-            if task.m > 0.0 {
-                channel_load[task.channel] += 1;
+        if banked {
+            channel_load.fill(0);
+            for &p in &live {
+                let task = active[p].as_ref().expect("live");
+                if task.m > 0.0 {
+                    channel_load[task.channel] += 1;
+                }
             }
         }
 
-        // Water-fill the aggregate bandwidth, exactly as on the uniform
-        // pipe (address interleaving lets any stream draw on the whole
-        // channel array; conflicts, not peak bandwidth, are per-channel).
-        let mut order: Vec<(f64, usize)> = live
-            .iter()
-            .map(|&p| {
-                let task = active[p].as_ref().expect("live");
-                let demand = if task.c <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    task.m / task.c
-                };
-                (demand, p)
-            })
-            .collect();
-        order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite-ish demands"));
-        let mut alloc = vec![0.0f64; pes];
-        let mut remaining = total_bw;
-        let mut left = order.len();
-        for &(demand, p) in &order {
-            let share = remaining / left as f64;
-            let a = demand.min(share);
-            alloc[p] = a;
-            remaining -= a;
-            left -= 1;
-        }
-
-        let mut dt = f64::INFINITY;
-        let mut rates = vec![0.0f64; pes];
-        for &p in &live {
+        // Demand: bandwidth at which the task becomes compute-bound.
+        order.clear();
+        order.extend(live.iter().map(|&p| {
             let task = active[p].as_ref().expect("live");
-            let mem_time = if task.m <= 0.0 {
-                0.0
-            } else if alloc[p] <= 0.0 {
+            let demand = if task.c <= 0.0 {
                 f64::INFINITY
             } else {
-                // Transfer time plus the expected bank-conflict stall for
-                // sharing the home channel with `load - 1` other
-                // memory-active tasks.
-                let co_residents = channel_load[task.channel] - 1;
-                task.m / alloc[p] + task.m * topology.conflict_penalty_per_byte(dram, co_residents)
+                task.m / task.c
             };
-            let duration = (task.c.max(mem_time) + task.s).max(1e-9);
-            rates[p] = 1.0 / duration;
-            dt = dt.min(task.w / rates[p]);
-        }
-
-        t += dt;
-        for &p in &live {
-            busy[p] += dt;
-            let task = active[p].as_mut().expect("live");
-            cluster_cycles[task.idx] += dt;
-            task.w -= rates[p] * dt;
-            if task.w <= 1e-9 {
-                active[p] = dispatch.next(p).map(|i| {
-                    dispatched += 1;
-                    fault::trip_at(fault::FaultSite::Sched, dispatched);
-                    spawn(i)
-                });
-            }
-        }
-    }
-    MultiPeRun {
-        scheduler: scheduler.name(),
-        pes,
-        makespan: t,
-        per_pe_busy: busy,
-        cluster_cycles,
-    }
-}
-
-fn simulate_fluid(
-    profiles: &[ClusterProfile],
-    pes: usize,
-    per_pe_bytes_per_cycle: f64,
-    scheduler: &dyn Scheduler,
-    calibrated: bool,
-) -> MultiPeRun {
-    assert!(pes > 0, "at least one PE");
-    assert!(per_pe_bytes_per_cycle > 0.0, "bandwidth must be positive");
-    let total_bw = pes as f64 * per_pe_bytes_per_cycle;
-    let mut dispatch = scheduler.dispatcher(profiles, pes, per_pe_bytes_per_cycle);
-
-    // Active task per PE: cluster index, compute total, mem total, serial
-    // residue, fraction remaining.
-    struct Task {
-        idx: usize,
-        c: f64,
-        m: f64,
-        s: f64,
-        w: f64,
-    }
-    let spawn = |i: usize| {
-        let c = profiles[i].compute_cycles as f64;
-        let m = profiles[i].mem_bytes as f64;
-        // Serial residue of the detailed timeline beyond the overlap
-        // model's fair-share estimate (0 in the uncalibrated projection).
-        let s = if calibrated {
-            (profiles[i].cycles as f64 - c.max(m / per_pe_bytes_per_cycle)).max(0.0)
-        } else {
-            0.0
-        };
-        Task {
-            idx: i,
-            c,
-            m,
-            s,
-            w: 1.0,
-        }
-    };
-    // Same `sched` fault-site accounting as the banked path.
-    let mut dispatched: u64 = 0;
-    let mut active: Vec<Option<Task>> = (0..pes)
-        .map(|p| {
-            dispatch.next(p).map(|i| {
-                dispatched += 1;
-                fault::trip_at(fault::FaultSite::Sched, dispatched);
-                spawn(i)
-            })
-        })
-        .collect();
-    let mut busy = vec![0.0f64; pes];
-    let mut cluster_cycles = vec![0.0f64; profiles.len()];
-
-    let mut t = 0.0f64;
-    loop {
-        // Collect live tasks and their bandwidth demands.
-        let live: Vec<usize> = (0..pes).filter(|&p| active[p].is_some()).collect();
-        if live.is_empty() {
-            break;
-        }
-        // Demand: bandwidth at which the task becomes compute-bound.
-        let mut order: Vec<(f64, usize)> = live
-            .iter()
-            .map(|&p| {
-                let task = active[p].as_ref().expect("live");
-                let demand = if task.c <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    task.m / task.c
-                };
-                (demand, p)
-            })
-            .collect();
+            (demand, p)
+        }));
         order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite-ish demands"));
 
-        // Water-fill the shared channel.
-        let mut alloc = vec![0.0f64; pes];
+        // Water-fill the aggregate bandwidth (address interleaving lets
+        // any stream draw on the whole channel array; conflicts, not peak
+        // bandwidth, are per-channel).
         let mut remaining = total_bw;
         let mut left = order.len();
         for &(demand, p) in &order {
@@ -446,13 +265,18 @@ fn simulate_fluid(
 
         // Per-task completion rate and the next completion event.
         let mut dt = f64::INFINITY;
-        let mut rates = vec![0.0f64; pes];
         for &p in &live {
             let task = active[p].as_ref().expect("live");
             let mem_time = if task.m <= 0.0 {
                 0.0
             } else if alloc[p] <= 0.0 {
                 f64::INFINITY
+            } else if banked {
+                // Transfer time plus the expected bank-conflict stall for
+                // sharing the home channel with `load - 1` other
+                // memory-active tasks.
+                let co_residents = channel_load[task.channel] - 1;
+                task.m / alloc[p] + task.m * topology.conflict_penalty_per_byte(dram, co_residents)
             } else {
                 task.m / alloc[p]
             };
@@ -485,46 +309,6 @@ fn simulate_fluid(
     }
 }
 
-/// Produces the Figure 24 scaling curve for the given PE counts under the
-/// original round-robin assignment.
-pub fn scaling_curve(
-    profiles: &[ClusterProfile],
-    pe_counts: &[usize],
-    per_pe_bytes_per_cycle: f64,
-) -> Vec<ScalingPoint> {
-    scaling_curve_with(
-        profiles,
-        pe_counts,
-        per_pe_bytes_per_cycle,
-        SchedulerKind::RoundRobin,
-    )
-}
-
-/// Produces the Figure 24 scaling curve under an explicit scheduler.
-pub fn scaling_curve_with(
-    profiles: &[ClusterProfile],
-    pe_counts: &[usize],
-    per_pe_bytes_per_cycle: f64,
-    scheduler: SchedulerKind,
-) -> Vec<ScalingPoint> {
-    let base = simulate_with(profiles, 1, per_pe_bytes_per_cycle, scheduler).makespan;
-    pe_counts
-        .iter()
-        .map(|&pes| {
-            let cycles = simulate_with(profiles, pes, per_pe_bytes_per_cycle, scheduler).makespan;
-            ScalingPoint {
-                pes,
-                cycles,
-                normalized_throughput: if cycles > 0.0 {
-                    base / cycles
-                } else {
-                    f64::INFINITY
-                },
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,17 +325,23 @@ mod tests {
     fn single_pe_is_sum_of_maxima() {
         let profiles = [task(100, 50), task(10, 400)];
         // bw = 2 B/cycle: durations max(100, 25) = 100 and max(10, 200).
-        let t = simulate(&profiles, 1, 2.0);
+        let t = simulate_with(&profiles, 1, 2.0, SchedulerKind::RoundRobin).makespan;
         assert!((t - 300.0).abs() < 1e-6, "t = {t}");
+    }
+
+    /// Throughput at `pes` PEs normalized to one PE: the 1-PE makespan
+    /// over the `pes`-PE makespan, bandwidth scaling with the PE count.
+    fn normalized_throughput(profiles: &[ClusterProfile], pes: usize, bw: f64) -> f64 {
+        let makespan = |pes| simulate_with(profiles, pes, bw, SchedulerKind::RoundRobin).makespan;
+        makespan(1) / makespan(pes)
     }
 
     #[test]
     fn scaling_is_at_least_near_linear_for_homogeneous_tasks() {
         let profiles: Vec<ClusterProfile> = (0..64).map(|_| task(100, 100)).collect();
-        let curve = scaling_curve(&profiles, &[1, 2, 4, 8], 2.0);
-        for point in &curve[1..] {
-            let eff = point.normalized_throughput / point.pes as f64;
-            assert!(eff > 0.9, "pes {} efficiency {eff}", point.pes);
+        for pes in [2, 4, 8] {
+            let eff = normalized_throughput(&profiles, pes, 2.0) / pes as f64;
+            assert!(eff > 0.9, "pes {pes} efficiency {eff}");
         }
     }
 
@@ -584,8 +374,7 @@ mod tests {
             })
             .collect();
         let profiles: Vec<ClusterProfile> = first.into_iter().chain(second).collect();
-        let curve = scaling_curve(&profiles, &[16], 1.0);
-        let speedup = curve[0].normalized_throughput;
+        let speedup = normalized_throughput(&profiles, 16, 1.0);
         assert!(
             speedup > 16.5,
             "expected super-linear scaling, got {speedup} at 16 PEs"
@@ -595,7 +384,7 @@ mod tests {
     #[test]
     fn zero_work_tasks_complete() {
         let profiles = [task(0, 0), task(5, 5)];
-        let t = simulate(&profiles, 2, 1.0);
+        let t = simulate_with(&profiles, 2, 1.0, SchedulerKind::RoundRobin).makespan;
         assert!(t.is_finite());
     }
 
@@ -603,34 +392,15 @@ mod tests {
     fn more_pes_never_slower() {
         let profiles: Vec<ClusterProfile> =
             (0..40).map(|i| task(50 + i * 3, 40 * (i % 5))).collect();
-        let t1 = simulate(&profiles, 1, 4.0);
-        let t4 = simulate(&profiles, 4, 4.0);
-        let t16 = simulate(&profiles, 16, 4.0);
+        let t = |pes| simulate_with(&profiles, pes, 4.0, SchedulerKind::RoundRobin).makespan;
+        let (t1, t4, t16) = (t(1), t(4), t(16));
         assert!(t4 <= t1 && t16 <= t4, "t1 {t1}, t4 {t4}, t16 {t16}");
     }
 
     #[test]
     fn curve_normalizes_to_one_pe() {
         let profiles = [task(10, 10), task(20, 5)];
-        let curve = scaling_curve(&profiles, &[1], 1.0);
-        assert!((curve[0].normalized_throughput - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn legacy_simulate_is_round_robin() {
-        let profiles: Vec<ClusterProfile> =
-            (0..23).map(|i| task(30 + 7 * i, 11 * (i % 6))).collect();
-        for pes in [1, 3, 8] {
-            let run = simulate_with(&profiles, pes, 4.0, SchedulerKind::RoundRobin);
-            assert_eq!(
-                simulate(&profiles, pes, 4.0),
-                run.makespan,
-                "bit-identical round-robin makespan at {pes} PEs"
-            );
-            assert_eq!(run.per_pe_busy.len(), pes);
-            assert_eq!(run.cluster_cycles.len(), profiles.len());
-            assert_eq!(run.scheduler, "rr");
-        }
+        assert_eq!(normalized_throughput(&profiles, 1, 1.0), 1.0);
     }
 
     #[test]
@@ -679,6 +449,13 @@ mod tests {
             ..zero
         };
         assert_eq!(poisoned.imbalance(), 1.0);
+        // The end-to-end phase breakdown shares the same guard.
+        let phase = crate::report::PhasePeBusy {
+            makespan: 0.0,
+            per_pe_busy: poisoned.per_pe_busy.clone(),
+            cluster_time: 0.0,
+        };
+        assert_eq!(phase.imbalance(), 1.0);
     }
 
     fn calibrated(c: u64, m: u64, bw: f64) -> ClusterProfile {
@@ -691,29 +468,14 @@ mod tests {
     }
 
     #[test]
-    fn banked_uniform_topology_is_bit_identical_to_the_fluid_pipe() {
-        let profiles: Vec<ClusterProfile> = (0..32)
-            .map(|i| calibrated(50 + 13 * i, 40 * (i % 7), 4.0))
-            .collect();
-        let dram = DramConfig::default();
-        for pes in [1usize, 3, 8] {
-            for kind in SchedulerKind::ALL {
-                let fluid = simulate_e2e(&profiles, pes, 4.0, kind);
-                let banked =
-                    simulate_e2e_banked(&profiles, pes, 4.0, kind, &dram, MemTopology::default());
-                assert_eq!(fluid, banked, "pes={pes} scheduler={}", kind.name());
-            }
-        }
-    }
-
-    #[test]
     fn bank_conflicts_stretch_contended_memory_phases() {
         // Memory-bound tasks all homed on one channel: the banked model
         // must charge conflict stalls the idealized pipe does not.
         let profiles: Vec<ClusterProfile> = (0..16).map(|_| calibrated(10, 4000, 4.0)).collect();
         let dram = DramConfig::default();
-        let ideal = simulate_e2e(&profiles, 4, 4.0, SchedulerKind::RoundRobin);
-        let banked = simulate_e2e_banked(
+        let uniform = MemTopology::default();
+        let ideal = simulate_e2e(&profiles, 4, 4.0, SchedulerKind::RoundRobin, &dram, uniform);
+        let banked = simulate_e2e(
             &profiles,
             4,
             4.0,
@@ -728,8 +490,8 @@ mod tests {
             ideal.makespan
         );
         // With one PE nothing is ever co-resident: no stall, identical run.
-        let solo_ideal = simulate_e2e(&profiles, 1, 4.0, SchedulerKind::RoundRobin);
-        let solo_banked = simulate_e2e_banked(
+        let solo_ideal = simulate_e2e(&profiles, 1, 4.0, SchedulerKind::RoundRobin, &dram, uniform);
+        let solo_banked = simulate_e2e(
             &profiles,
             1,
             4.0,
@@ -747,7 +509,7 @@ mod tests {
         for kind in [SchedulerKind::RoundRobin, SchedulerKind::ContentionAware] {
             let mut prev = f64::INFINITY;
             for channels in [1usize, 2, 4, 8, 16] {
-                let run = simulate_e2e_banked(
+                let run = simulate_e2e(
                     &profiles,
                     8,
                     4.0,
@@ -765,8 +527,7 @@ mod tests {
             }
             let mut prev = f64::INFINITY;
             for banks in [1usize, 2, 4, 8] {
-                let run =
-                    simulate_e2e_banked(&profiles, 8, 4.0, kind, &dram, MemTopology::new(4, banks));
+                let run = simulate_e2e(&profiles, 8, 4.0, kind, &dram, MemTopology::new(4, banks));
                 assert!(
                     run.makespan <= prev * (1.0 + 1e-9),
                     "{}: banks={banks} slower ({} > {prev})",
@@ -781,7 +542,7 @@ mod tests {
     #[test]
     fn busy_cycle_conservation_holds_under_banking() {
         let profiles = crate::schedule::power_law_profiles(64, 5);
-        let run = simulate_e2e_banked(
+        let run = simulate_e2e(
             &profiles,
             4,
             4.0,

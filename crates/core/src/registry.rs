@@ -120,7 +120,18 @@ fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, RegistryErro
 /// was one of them.
 fn apply_dram_key(dram: &mut DramConfig, key: &str, value: &str) -> Result<bool, RegistryError> {
     match key {
-        "dram_gbps" => dram.bytes_per_cycle = parse(key, value)?,
+        "dram_gbps" => {
+            // Bandwidth divides every transfer: zero, negative and
+            // non-finite values would only panic later, mid-run.
+            let gbps: f64 = parse(key, value)?;
+            if !(gbps.is_finite() && gbps > 0.0) {
+                return Err(RegistryError::InvalidValue {
+                    key: key.to_string(),
+                    value: value.to_string(),
+                });
+            }
+            dram.bytes_per_cycle = gbps;
+        }
         "dram_latency_cycles" => dram.latency_cycles = parse(key, value)?,
         "dram_request_overhead_cycles" => dram.request_overhead_cycles = parse(key, value)?,
         _ => return Ok(false),

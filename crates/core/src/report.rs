@@ -101,12 +101,7 @@ impl PhasePeBusy {
     /// degenerate phase whose busy total is zero or non-finite — never
     /// NaN).
     pub fn imbalance(&self) -> f64 {
-        let total: f64 = self.per_pe_busy.iter().sum();
-        if total.is_nan() || total <= 0.0 || self.per_pe_busy.is_empty() {
-            return 1.0;
-        }
-        let max = self.per_pe_busy.iter().cloned().fold(0.0f64, f64::max);
-        max * self.per_pe_busy.len() as f64 / total
+        crate::multi_pe::imbalance(&self.per_pe_busy)
     }
 }
 

@@ -1,36 +1,27 @@
-//! Pluggable cluster-to-PE scheduling (the Figure 24 multi-PE axis).
+//! Cluster-to-PE scheduling (the Figure 24 multi-PE axis).
 //!
 //! The fluid multi-PE model in [`crate::multi_pe`] works through a list of
 //! per-cluster execution profiles on `pes` processing engines sharing one
-//! memory channel. *Which* PE runs *which* cluster used to be hard-coded
-//! round-robin; this module turns the assignment into a pluggable policy:
+//! memory system. *Which* PE runs *which* cluster is a policy, named by
+//! [`SchedulerKind`] — the value set of the registry-wide
+//! `scheduler=rr|lpt|ws|ca` override:
 //!
-//! * [`RoundRobin`] — the original static interleaving (`cluster i` on
-//!   `PE i % pes`), bit-identical to the previous behavior;
-//! * [`StaticLpt`] — longest-processing-time bin packing over per-cluster
-//!   standalone cycle estimates (the classic 4/3-approximation), in the
-//!   spirit of Accel-GCN's degree-sorted workload balancing;
-//! * [`WorkStealing`] — event-driven greedy dispatch: whenever a PE
-//!   finishes its cluster it pulls the next pending one, with deterministic
-//!   tie-breaking by cluster index (lowest pending index first).
+//! * `rr` — the original static interleaving (`cluster i` on `PE i % pes`);
+//! * `lpt` — longest-processing-time bin packing over per-cluster
+//!   standalone cycle estimates;
+//! * `ws` — event-driven greedy dispatch of the heaviest pending cluster;
+//! * `ca` — like `ws`, but balancing memory-bound against compute-bound
+//!   clusters in execution, with channel affinity on a banked topology.
 //!
-//! * [`ContentionAware`] — like work-stealing, but the pending pool is
-//!   split into memory-bound and compute-bound clusters and each dispatch
-//!   tops up whichever class is under-represented among the clusters in
-//!   execution — mixing the classes keeps part of the fleet off the
-//!   shared channel at any instant.
-//!
-//! Schedulers are dispatched by name through [`SchedulerKind`] — the value
-//! set of the registry-wide `scheduler=rr|lpt|ws|ca` override — and every
-//! engine carries a [`MultiPeConfig`] whose summary lands on the final
-//! [`RunReport`](crate::RunReport). Under the default post-hoc execution
-//! model scheduling is strictly *post-hoc* over the per-cluster profiles:
-//! it can never change modeled work or traffic, only the multi-PE
-//! makespan and per-PE utilization (the scheduler-invariance test battery
-//! locks this in). Under the end-to-end model
-//! ([`crate::exec_model`], `exec=e2e`) the same schedulers run *inside*
-//! the execution loop and the resulting makespans are the per-phase cycle
-//! counts themselves.
+//! [`SchedulerKind::dispatcher`] builds the per-simulation dispatch state;
+//! every engine carries a [`MultiPeConfig`] whose summary lands on the
+//! final [`RunReport`]. Under the default post-hoc execution model
+//! scheduling is strictly *post-hoc* over the per-cluster profiles: it can
+//! never change modeled work or traffic, only the multi-PE makespan and
+//! per-PE utilization (the scheduler-invariance test battery locks this
+//! in). Under the end-to-end model ([`crate::exec_model`], `exec=e2e`) the
+//! same schedulers run *inside* the execution loop and the resulting
+//! makespans are the per-phase cycle counts themselves.
 
 use std::collections::VecDeque;
 
@@ -45,15 +36,44 @@ pub const SCHEDULER_NAMES: [&str; 4] = ["rr", "lpt", "ws", "ca"];
 /// Which cluster-to-PE scheduling policy the multi-PE model uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
-    /// Static round-robin interleaving (the paper's implicit baseline).
+    /// Static round-robin (the paper's implicit baseline): cluster `i` runs
+    /// on PE `i % pes`, clusters keep their program order within a PE.
+    /// This is the assignment the multi-PE model shipped with.
     #[default]
     RoundRobin,
-    /// Static longest-processing-time bin packing.
+    /// Static longest-processing-time bin packing (the classic
+    /// 4/3-approximation, in the spirit of Accel-GCN's degree-sorted
+    /// workload balancing): clusters are sorted by decreasing standalone
+    /// cycle estimate (ties by cluster index) and each is assigned to the
+    /// currently least-loaded PE (ties by PE index). PEs then process
+    /// their queues in that assignment order.
     StaticLpt,
-    /// Dynamic work-stealing (greedy event-driven dispatch).
+    /// Dynamic work-stealing, modeled as greedy event-driven dispatch over
+    /// one shared pending queue: whichever PE finishes first pulls the
+    /// next pending cluster. The queue hands out the heaviest pending
+    /// cluster first (largest standalone cycle estimate — greedy dispatch
+    /// degenerates to plain FIFO order otherwise and inherits its
+    /// list-scheduling anomalies), with deterministic tie-breaking by
+    /// cluster index.
     WorkStealing,
-    /// Contention-aware dispatch: interleaves memory-bound and
-    /// compute-bound clusters across the PEs.
+    /// Contention-aware dynamic dispatch: like `WorkStealing`, whichever PE
+    /// finishes first pulls the next pending cluster — but the pending pool
+    /// is split into *memory-bound* clusters (bandwidth demand `mem_bytes /
+    /// compute_cycles` above the per-PE fair share) and *compute-bound*
+    /// ones, each ordered heaviest-first, and each dispatch hands out the
+    /// class that is currently under-represented among the clusters in
+    /// execution. Mixing the classes keeps part of the fleet off the shared
+    /// channel at any instant, which is what greedy heaviest-first dispatch
+    /// misses when it happens to line up several memory-bound clusters (the
+    /// documented `ws`-loses-to-`rr` contention-alignment cases).
+    ///
+    /// On a banked topology it also orders the memory-bound pool by
+    /// channel affinity: each dispatch prefers a cluster whose home channel
+    /// no other in-flight memory-bound cluster is using (spreading the
+    /// fleet across the channels), and among equally-conflicted candidates
+    /// one homed on the PE's previous channel (prefetch-friendly row
+    /// reuse). With one channel every candidate ties, so dispatch is plain
+    /// heaviest-first within the class.
     ContentionAware,
 }
 
@@ -88,63 +108,86 @@ impl SchedulerKind {
         }
     }
 
-    /// Builds the scheduler this kind names.
-    pub fn scheduler(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::RoundRobin => Box::new(RoundRobin),
-            SchedulerKind::StaticLpt => Box::new(StaticLpt),
-            SchedulerKind::WorkStealing => Box::new(WorkStealing),
-            SchedulerKind::ContentionAware => Box::new(ContentionAware),
-        }
-    }
-}
-
-/// A cluster-to-PE scheduling policy.
-///
-/// A scheduler is a stateless factory; per-simulation state lives in the
-/// [`Dispatcher`] it creates, which the fluid model queries every time a
-/// PE needs its next cluster. Static policies precompute per-PE queues;
-/// dynamic policies decide at dispatch time.
-pub trait Scheduler: Send + Sync {
-    /// Canonical name (one of [`SCHEDULER_NAMES`] for built-ins, e.g.
-    /// `rr`, `lpt`, `ws`, `ca`).
-    fn name(&self) -> &'static str;
-
     /// Creates the dispatch state for one simulation of `profiles` on
     /// `pes` PEs, each entitled to `per_pe_bytes_per_cycle` of the shared
-    /// channel on average (static policies may use it for cost estimates).
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher>;
-
-    /// Creates the dispatch state for one *banked-memory* simulation (see
-    /// [`MemTopology`]): like [`Scheduler::dispatcher`], but the policy is
-    /// told how clusters map onto memory channels, so it can order each
-    /// PE's work by channel affinity (prefetch-friendly sequences that
-    /// avoid dispatching two memory-bound clusters onto the same channel
-    /// at once).
-    ///
-    /// The default implementation ignores the topology and defers to
-    /// [`Scheduler::dispatcher`] — topology-oblivious policies (`rr`,
-    /// `lpt`, `ws`) dispatch identically with or without banking, which
-    /// is exactly what makes the contention delta attributable to the
-    /// channel-affinity-aware policies (`ca`).
-    fn dispatcher_banked(
+    /// memory system on average (the policies' cost estimates use it).
+    /// Clusters map onto `topology`'s channels by index; only `ca` reads
+    /// the mapping, so the other policies dispatch identically on every
+    /// topology.
+    pub fn dispatcher(
         &self,
         profiles: &[ClusterProfile],
         pes: usize,
         per_pe_bytes_per_cycle: f64,
         topology: MemTopology,
     ) -> Box<dyn Dispatcher> {
-        let _ = topology;
-        self.dispatcher(profiles, pes, per_pe_bytes_per_cycle)
+        let heaviest_first = |order: &mut Vec<usize>| {
+            // Stable sort: equal estimates keep ascending cluster index.
+            order.sort_by(|&a, &b| {
+                standalone_cycles(&profiles[b], per_pe_bytes_per_cycle)
+                    .partial_cmp(&standalone_cycles(&profiles[a], per_pe_bytes_per_cycle))
+                    .expect("finite estimates")
+            });
+        };
+        match self {
+            SchedulerKind::RoundRobin => {
+                let mut queues = vec![VecDeque::new(); pes];
+                for i in 0..profiles.len() {
+                    queues[i % pes].push_back(i);
+                }
+                Box::new(StaticQueues { queues })
+            }
+            SchedulerKind::StaticLpt => {
+                let mut order: Vec<usize> = (0..profiles.len()).collect();
+                heaviest_first(&mut order);
+                let mut queues = vec![VecDeque::new(); pes];
+                let mut loads = vec![0.0f64; pes];
+                for i in order {
+                    let target = (0..pes)
+                        .min_by(|&a, &b| loads[a].partial_cmp(&loads[b]).expect("finite loads"))
+                        .expect("at least one PE");
+                    queues[target].push_back(i);
+                    loads[target] += standalone_cycles(&profiles[i], per_pe_bytes_per_cycle);
+                }
+                Box::new(StaticQueues { queues })
+            }
+            SchedulerKind::WorkStealing => {
+                let mut pending: Vec<usize> = (0..profiles.len()).collect();
+                heaviest_first(&mut pending);
+                Box::new(SharedQueue {
+                    pending: pending.into(),
+                })
+            }
+            SchedulerKind::ContentionAware => {
+                // Memory-bound: the cluster wants more than its fair
+                // bandwidth share while computing (demand
+                // mem_bytes/compute_cycles > B).
+                let is_mem = |p: &ClusterProfile| {
+                    p.mem_bytes as f64 > p.compute_cycles as f64 * per_pe_bytes_per_cycle
+                };
+                let (mut mem, mut compute): (Vec<usize>, Vec<usize>) =
+                    (0..profiles.len()).partition(|&i| is_mem(&profiles[i]));
+                heaviest_first(&mut mem);
+                heaviest_first(&mut compute);
+                Box::new(AffinityClassedQueues {
+                    mem: mem.into(),
+                    compute: compute.into(),
+                    weight: profiles
+                        .iter()
+                        .map(|p| standalone_cycles(p, per_pe_bytes_per_cycle))
+                        .collect(),
+                    home: (0..profiles.len())
+                        .map(|i| topology.home_channel(i))
+                        .collect(),
+                    running: vec![None; pes],
+                    last_channel: vec![None; pes],
+                })
+            }
+        }
     }
 }
 
-/// Per-simulation dispatch state created by a [`Scheduler`].
+/// Per-simulation dispatch state created by [`SchedulerKind::dispatcher`].
 pub trait Dispatcher {
     /// The next cluster index PE `pe` should execute, or `None` when the
     /// policy has no further work for it. Called once per PE at simulation
@@ -166,89 +209,15 @@ impl Dispatcher for StaticQueues {
     }
 }
 
-/// Static round-robin: cluster `i` runs on PE `i % pes`, clusters keep
-/// their program order within a PE. This is exactly the assignment the
-/// multi-PE model shipped with, so reports under it are bit-identical to
-/// the pre-scheduler code.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin;
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        _per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher> {
-        let mut queues = vec![VecDeque::new(); pes];
-        for i in 0..profiles.len() {
-            queues[i % pes].push_back(i);
-        }
-        Box::new(StaticQueues { queues })
-    }
-}
-
-/// The standalone cycle estimate LPT packs on: the cluster alone on one
-/// PE with its fair bandwidth share (compute and transfer overlapped).
+/// The standalone cycle estimate the policies rank on: the cluster alone
+/// on one PE with its fair bandwidth share (compute and transfer
+/// overlapped).
 fn standalone_cycles(p: &ClusterProfile, per_pe_bytes_per_cycle: f64) -> f64 {
     let mem = p.mem_bytes as f64 / per_pe_bytes_per_cycle;
     (p.compute_cycles as f64).max(mem)
 }
 
-/// Static longest-processing-time bin packing: clusters are sorted by
-/// decreasing standalone cycle estimate (ties by cluster index) and each
-/// is assigned to the currently least-loaded PE (ties by PE index). PEs
-/// then process their queues in that assignment order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticLpt;
-
-impl Scheduler for StaticLpt {
-    fn name(&self) -> &'static str {
-        "lpt"
-    }
-
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher> {
-        let mut order: Vec<usize> = (0..profiles.len()).collect();
-        // Sort by decreasing estimate; sort_by is stable, so equal
-        // estimates keep ascending cluster index.
-        order.sort_by(|&a, &b| {
-            standalone_cycles(&profiles[b], per_pe_bytes_per_cycle)
-                .partial_cmp(&standalone_cycles(&profiles[a], per_pe_bytes_per_cycle))
-                .expect("finite estimates")
-        });
-        let mut queues = vec![VecDeque::new(); pes];
-        let mut loads = vec![0.0f64; pes];
-        for i in order {
-            let target = (0..pes)
-                .min_by(|&a, &b| loads[a].partial_cmp(&loads[b]).expect("finite loads"))
-                .expect("at least one PE");
-            queues[target].push_back(i);
-            loads[target] += standalone_cycles(&profiles[i], per_pe_bytes_per_cycle);
-        }
-        Box::new(StaticQueues { queues })
-    }
-}
-
-/// Dynamic work-stealing, modeled as greedy event-driven dispatch over one
-/// shared pending queue: whichever PE finishes first pulls the next
-/// pending cluster. The queue hands out the heaviest pending cluster
-/// first (largest standalone cycle estimate — greedy dispatch degenerates
-/// to plain FIFO order otherwise and inherits its list-scheduling
-/// anomalies), with deterministic tie-breaking by cluster index; ties
-/// between PEs finishing at the same instant are resolved in PE-index
-/// order by the fluid model.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkStealing;
-
+/// Work-stealing's single pending queue, any PE pulling from the front.
 struct SharedQueue {
     pending: VecDeque<usize>,
 }
@@ -259,171 +228,11 @@ impl Dispatcher for SharedQueue {
     }
 }
 
-impl Scheduler for WorkStealing {
-    fn name(&self) -> &'static str {
-        "ws"
-    }
-
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        _pes: usize,
-        per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher> {
-        let mut pending: Vec<usize> = (0..profiles.len()).collect();
-        // Heaviest first; sort_by is stable, so equal estimates keep
-        // ascending cluster index.
-        pending.sort_by(|&a, &b| {
-            standalone_cycles(&profiles[b], per_pe_bytes_per_cycle)
-                .partial_cmp(&standalone_cycles(&profiles[a], per_pe_bytes_per_cycle))
-                .expect("finite estimates")
-        });
-        Box::new(SharedQueue {
-            pending: pending.into(),
-        })
-    }
-}
-
-/// Contention-aware dynamic dispatch: like [`WorkStealing`], whichever PE
-/// finishes first pulls the next pending cluster — but the pending pool is
-/// split into *memory-bound* clusters (bandwidth demand `mem_bytes /
-/// compute_cycles` above the per-PE fair share) and *compute-bound* ones,
-/// each ordered heaviest-first, and each dispatch hands out the class that
-/// is currently under-represented among the clusters in execution. Mixing
-/// the classes keeps part of the fleet off the shared channel at any
-/// instant, which is what greedy heaviest-first dispatch misses when it
-/// happens to line up several memory-bound clusters (the documented
-/// `ws`-loses-to-`rr` contention-alignment cases).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ContentionAware;
-
-struct ClassedQueues {
-    /// Pending memory-bound clusters, heaviest-first (ties by index).
-    mem: VecDeque<usize>,
-    /// Pending compute-bound clusters, heaviest-first (ties by index).
-    compute: VecDeque<usize>,
-    /// Standalone cycle estimate per cluster (head-to-head tie-breaks).
-    weight: Vec<f64>,
-    /// Class of each PE's in-execution cluster (`Some(true)` =
-    /// memory-bound), updated at every dispatch.
-    running: Vec<Option<bool>>,
-}
-
-impl Dispatcher for ClassedQueues {
-    fn next(&mut self, pe: usize) -> Option<usize> {
-        // The PE asking has just finished (or not started) its cluster.
-        self.running[pe] = None;
-        let mem_running = self.running.iter().flatten().filter(|&&m| m).count();
-        let compute_running = self.running.iter().flatten().count() - mem_running;
-        let pick_mem = match (self.mem.front(), self.compute.front()) {
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-            (Some(&m), Some(&c)) => {
-                if mem_running != compute_running {
-                    // Top up the under-represented class.
-                    mem_running < compute_running
-                } else {
-                    // Balanced mix: drain the heavier head first
-                    // (LPT-style), ties toward the memory-bound side so
-                    // transfers start as early as possible.
-                    self.weight[m] >= self.weight[c]
-                }
-            }
-        };
-        let next = if pick_mem {
-            self.mem.pop_front()
-        } else {
-            self.compute.pop_front()
-        };
-        if next.is_some() {
-            self.running[pe] = Some(pick_mem);
-        }
-        next
-    }
-}
-
-impl Scheduler for ContentionAware {
-    fn name(&self) -> &'static str {
-        "ca"
-    }
-
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher> {
-        let (mem, compute, weight) = classed_pools(profiles, per_pe_bytes_per_cycle);
-        Box::new(ClassedQueues {
-            mem: mem.into(),
-            compute: compute.into(),
-            weight,
-            running: vec![None; pes],
-        })
-    }
-
-    /// The banked extension: class balancing as in the uniform dispatcher,
-    /// plus PE-local channel-affinity ordering within the memory-bound
-    /// pool — each dispatch prefers a cluster whose home channel no other
-    /// in-flight memory-bound cluster is using (spreading the fleet across
-    /// the channels), and among equally-conflicted candidates one homed on
-    /// the PE's previous channel (prefetch-friendly row reuse).
-    fn dispatcher_banked(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        per_pe_bytes_per_cycle: f64,
-        topology: MemTopology,
-    ) -> Box<dyn Dispatcher> {
-        let (mem, compute, weight) = classed_pools(profiles, per_pe_bytes_per_cycle);
-        let home: Vec<usize> = (0..profiles.len())
-            .map(|i| topology.home_channel(i))
-            .collect();
-        Box::new(AffinityClassedQueues {
-            mem: mem.into(),
-            compute: compute.into(),
-            weight,
-            home,
-            running: vec![None; pes],
-            last_channel: vec![None; pes],
-        })
-    }
-}
-
-/// Splits the clusters into the heaviest-first memory-bound and
-/// compute-bound pools `ca` balances between (shared by the uniform and
-/// banked dispatchers; the classification and ordering are identical).
-fn classed_pools(
-    profiles: &[ClusterProfile],
-    per_pe_bytes_per_cycle: f64,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-    let weight: Vec<f64> = profiles
-        .iter()
-        .map(|p| standalone_cycles(p, per_pe_bytes_per_cycle))
-        .collect();
-    // Memory-bound: the cluster wants more than its fair bandwidth
-    // share while computing (demand mem_bytes/compute_cycles > B).
-    let is_mem =
-        |p: &ClusterProfile| p.mem_bytes as f64 > p.compute_cycles as f64 * per_pe_bytes_per_cycle;
-    let mut mem: Vec<usize> = (0..profiles.len())
-        .filter(|&i| is_mem(&profiles[i]))
-        .collect();
-    let mut compute: Vec<usize> = (0..profiles.len())
-        .filter(|&i| !is_mem(&profiles[i]))
-        .collect();
-    // Heaviest first within each class; stable sort keeps ascending
-    // cluster index on equal estimates.
-    mem.sort_by(|&a, &b| weight[b].partial_cmp(&weight[a]).expect("finite estimates"));
-    compute.sort_by(|&a, &b| weight[b].partial_cmp(&weight[a]).expect("finite estimates"));
-    (mem, compute, weight)
-}
-
-/// [`ClassedQueues`] with channel affinity: tracks which memory channel
-/// every in-flight cluster is homed on and steers each memory-bound
-/// dispatch toward an un-contended channel (see
-/// [`ContentionAware::dispatcher_banked`]). Deterministic: selection is a
-/// pure function of queue state, with ties broken by queue position.
+/// Contention-aware dispatch state: the two heaviest-first class pools,
+/// plus which memory channel every in-flight cluster is homed on, so each
+/// memory-bound dispatch is steered toward an un-contended channel.
+/// Deterministic: selection is a pure function of queue state, with ties
+/// broken by queue position.
 struct AffinityClassedQueues {
     /// Pending memory-bound clusters, heaviest-first (ties by index).
     mem: VecDeque<usize>,
@@ -611,9 +420,9 @@ mod tests {
 
     #[test]
     fn kind_round_trips_names() {
-        for kind in SchedulerKind::ALL {
+        for (kind, name) in SchedulerKind::ALL.into_iter().zip(SCHEDULER_NAMES) {
             assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.scheduler().name(), kind.name());
+            assert_eq!(kind.name(), name);
         }
         assert_eq!(
             SchedulerKind::parse("WorkStealing"),
@@ -630,7 +439,7 @@ mod tests {
     #[test]
     fn round_robin_interleaves() {
         let profiles: Vec<ClusterProfile> = (0..5).map(|i| task(i + 1, 0)).collect();
-        let mut d = RoundRobin.dispatcher(&profiles, 2, 1.0);
+        let mut d = SchedulerKind::RoundRobin.dispatcher(&profiles, 2, 1.0, MemTopology::default());
         assert_eq!(d.next(0), Some(0));
         assert_eq!(d.next(1), Some(1));
         assert_eq!(d.next(0), Some(2));
@@ -645,7 +454,7 @@ mod tests {
         // Durations 10, 1, 1, 1, 9 on 2 PEs: LPT puts 10 alone on PE 0 and
         // the rest (9 + 1 + 1 + 1) on PE 1 until loads cross.
         let profiles = [task(10, 0), task(1, 0), task(1, 0), task(1, 0), task(9, 0)];
-        let mut d = StaticLpt.dispatcher(&profiles, 2, 1.0);
+        let mut d = SchedulerKind::StaticLpt.dispatcher(&profiles, 2, 1.0, MemTopology::default());
         assert_eq!(d.next(0), Some(0), "longest cluster first on PE 0");
         assert_eq!(d.next(1), Some(4), "second longest on PE 1");
         // Unit tasks fill up the lighter bin first (9+1), then the load
@@ -659,7 +468,8 @@ mod tests {
     #[test]
     fn work_stealing_hands_out_in_cluster_order() {
         let profiles: Vec<ClusterProfile> = (0..4).map(|_| task(1, 1)).collect();
-        let mut d = WorkStealing.dispatcher(&profiles, 2, 1.0);
+        let mut d =
+            SchedulerKind::WorkStealing.dispatcher(&profiles, 2, 1.0, MemTopology::default());
         // Any PE asking gets the lowest pending index.
         assert_eq!(d.next(1), Some(0));
         assert_eq!(d.next(0), Some(1));
@@ -673,7 +483,8 @@ mod tests {
         // 2 memory-bound (0, 1) and 2 compute-bound (2, 3) clusters at
         // B = 4: dispatch must alternate the classes across the PEs.
         let profiles = [task(10, 4000), task(10, 2000), task(900, 40), task(800, 40)];
-        let mut d = ContentionAware.dispatcher(&profiles, 2, 4.0);
+        let mut d =
+            SchedulerKind::ContentionAware.dispatcher(&profiles, 2, 4.0, MemTopology::default());
         // Balanced (nothing running): heavier head wins, ties toward the
         // memory-bound side — cluster 0 (standalone 1000) over 2 (900).
         assert_eq!(d.next(0), Some(0), "heaviest memory-bound first");

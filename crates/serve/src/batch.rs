@@ -23,7 +23,7 @@
 //! it stages every job in submission order, prepares and computes the
 //! first validated occurrence of each key in two
 //! [`grow_sim::exec::parallel_map`] fan-outs (one level at a time, by the
-//! [`governor`](crate::governor)'s rule), commits in order, and serves
+//! [`governor`]'s rule), commits in order, and serves
 //! later duplicates from the committed verdict. Results are therefore
 //! bit-identical between `GROW_SERIAL=1` and any thread count.
 

@@ -23,7 +23,7 @@
 //!   still exactly one computation per key), same-workload preparation
 //!   is claimed by one worker and awaited by the rest, and simulations
 //!   run outside the service lock, so distinct jobs overlap end to end.
-//!   The [`governor`](crate::governor) arbitrates the two parallelism
+//!   The [`governor`] arbitrates the two parallelism
 //!   levels per picked-up job: a contended queue forces the job's inner
 //!   cluster fan-out serial (the one-level rule `run_batch` applies to
 //!   its fan-outs), a lone job keeps the machine to itself. One killed

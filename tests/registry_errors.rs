@@ -326,6 +326,39 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
 }
 
 #[test]
+fn non_positive_or_non_finite_bandwidth_is_an_invalid_value() {
+    // Each of these parses as an f64, but a run on it would panic with
+    // "bandwidth must be positive" (or divide into NaN cycle counts).
+    for value in ["0", "-4", "NaN", "inf"] {
+        let expected = RegistryError::InvalidValue {
+            key: "dram_gbps".into(),
+            value: value.into(),
+        };
+        for engine in registry::ENGINE_NAMES {
+            assert_eq!(
+                registry::engine_from_overrides(engine, &[("dram_gbps", value)]).err(),
+                Some(expected.clone()),
+                "{engine}/dram_gbps={value}"
+            );
+        }
+        // Through the batch service the bad job fails validation alone;
+        // its valid neighbor still runs.
+        let mut service = BatchService::new();
+        let results = service.run_batch(&[
+            JobSpec::new(spec(), 5, "gcnax").with_override("dram_gbps", value),
+            JobSpec::new(spec(), 5, "gcnax"),
+        ]);
+        assert_eq!(
+            results[0].outcome.clone().err(),
+            Some(JobError::Invalid(expected)),
+            "dram_gbps={value}"
+        );
+        assert!(results[1].outcome.is_ok(), "dram_gbps={value}");
+        assert_eq!(service.stats().simulations_run, 1, "dram_gbps={value}");
+    }
+}
+
+#[test]
 fn every_error_displays_a_useful_message() {
     let errors: Vec<RegistryError> = vec![
         RegistryError::UnknownEngine("npu".into()),

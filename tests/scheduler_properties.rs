@@ -198,19 +198,6 @@ fn contention_aware_stays_near_round_robin_everywhere() {
     }
 }
 
-#[test]
-fn legacy_round_robin_entry_point_is_bit_identical() {
-    for (name, profiles) in sweep().into_iter().take(6) {
-        for pes in [1, 4, 16] {
-            assert_eq!(
-                multi_pe::simulate(&profiles, pes, BW),
-                multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::RoundRobin).makespan,
-                "{name}/pes={pes}"
-            );
-        }
-    }
-}
-
 /// FNV-1a over the bit patterns of every `f64` a run reports.
 fn fingerprint(hash: &mut u64, run: &MultiPeRun) {
     let words = std::iter::once(run.makespan)
@@ -250,7 +237,7 @@ fn fluid_model_fingerprints_are_pinned() {
                     for pes in [1usize, 3, 8, 16] {
                         let run = match variant {
                             None => multi_pe::simulate_with(&profiles, pes, BW, kind),
-                            Some((channels, banks)) => multi_pe::simulate_e2e_banked(
+                            Some((channels, banks)) => multi_pe::simulate_e2e(
                                 &profiles,
                                 pes,
                                 BW,
