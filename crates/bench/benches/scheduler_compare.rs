@@ -1,7 +1,8 @@
 //! Scheduler-comparison bench (the Figure 24 scheduler axis): runs the
 //! fluid multi-PE model's post-hoc projection under every cluster
-//! scheduler (`rr`, `lpt`, `ws`, `ca`) across PE counts on synthetic power-law workloads, timing
-//! each cell and recording its makespan and load-imbalance ratio.
+//! scheduler (`rr`, `lpt`, `ws`, `ca`) across PE counts on synthetic
+//! power-law workloads, timing each cell and recording its makespan and
+//! load-imbalance ratio.
 //!
 //! Like the other benches this is a hand-rolled `harness = false` binary
 //! (no crates.io access for Criterion). Run with

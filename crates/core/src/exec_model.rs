@@ -20,13 +20,12 @@
 //!   ([`MemTopology`](grow_sim::MemTopology), registry keys `channels=` /
 //!   `banks=`) the same fluid loop adds per-request bank-conflict stalls
 //!   on top — and the resulting makespan *is* the phase's cycle count.
-//!   Combination and
-//!   aggregation timelines compose with inter-phase (and inter-layer)
-//!   sync barriers: a phase's cluster fan-out starts only after the
-//!   previous phase — and any serial prologue — has fully drained. Each
-//!   phase carries its per-PE busy breakdown
-//!   ([`PhasePeBusy`]), assembled per layer
-//!   into the report's [`MultiPeBreakdown`](crate::MultiPeBreakdown).
+//!   Combination and aggregation timelines compose with inter-phase (and
+//!   inter-layer) sync barriers: a phase's cluster fan-out starts only
+//!   after the previous phase — and any serial prologue — has fully
+//!   drained. Each phase carries its per-PE busy breakdown
+//!   ([`PhasePeBusy`]), assembled per layer into the report's
+//!   [`MultiPeBreakdown`](crate::MultiPeBreakdown).
 //!
 //! The end-to-end fluid durations are calibrated against the detailed
 //! per-cluster timelines (see [`multi_pe::simulate_e2e`]), which yields
