@@ -33,12 +33,23 @@
 //!    produces.
 //! 2. **Replay** (sequential): drive the cycle-accurate machinery (FIFO
 //!    channel, MAC array, runahead tables, in-order retirement window)
-//!    over the plan. A run of `h` hits issues as one
-//!    `scalar_vector_bulk(now, f, h)`, which is arithmetically identical
-//!    to `h` back-to-back `scalar_vector` calls — `now` cannot change
-//!    between consecutive hits — so the replay is bit-identical to the
-//!    original per-probe loop while doing per-*event* rather than
-//!    per-nonzero work on the (dominant) hit traffic.
+//!    over the plan. A run of `h` hits issues as one bulk MAC operation,
+//!    which is arithmetically identical to `h` back-to-back
+//!    `scalar_vector` calls — `now` cannot change between consecutive
+//!    hits — so the replay is bit-identical to the original per-probe
+//!    loop while doing per-*event* rather than per-nonzero work on the
+//!    hit traffic. The waiters a returning fetch releases issue as one
+//!    bulk operation for the same reason.
+//!
+//! On large graphs the replay's cost is the miss path: on the Reddit
+//! surrogate nearly every miss finds the LDN table full, so it drains
+//! the earliest fetch, allocates an entry, reads the row and records
+//! the completion. Each of those steps is O(1) (see [`RunaheadTables`]),
+//! and the cluster's RHS-row fetch and MAC operation are shaped once
+//! ([`grow_sim::ReadShape`], [`grow_sim::VectorOp`]) rather than
+//! re-derived with integer and floating-point divisions per miss. The
+//! shaped calls evaluate the same `f64` expressions in the same order,
+//! so every completion cycle keeps its bits.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -46,8 +57,8 @@ use std::sync::OnceLock;
 
 use grow_sim::{
     CacheStats, Cycle, Dram, DramConfig, FaultPlan, IssueOutcome, LruRowCache, MacArray,
-    PinnedRowCache, RunaheadTables, ScratchArena, TrafficClass, Waiter, ELEMENT_BYTES,
-    HDN_ID_BYTES, INDEX_BYTES,
+    PinnedRowCache, ReadShape, RunaheadTables, ScratchArena, TrafficClass, VectorOp, Waiter,
+    ELEMENT_BYTES, HDN_ID_BYTES, INDEX_BYTES,
 };
 use grow_sparse::{CsrPattern, RowMajorSparse};
 
@@ -226,6 +237,28 @@ fn plan_rows(
             nnz: slice.len() as u32,
             ops: (out.ops.len() - ops_before) as u32,
         });
+    }
+}
+
+/// The per-cluster constants of the `f_out`-wide RHS rows that
+/// aggregation fetches and multiplies: the shape of one demand fetch and
+/// of one scalar x vector operation, and the row width in 8-byte words.
+#[derive(Debug, Clone, Copy)]
+struct RowShape {
+    fetch: ReadShape,
+    mac: VectorOp,
+    words: u64,
+}
+
+impl RowShape {
+    fn new(ctx: &PhaseCtx, f_out: usize) -> Self {
+        RowShape {
+            fetch: ctx
+                .dram
+                .read_shape(f_out as u64 * ELEMENT_BYTES, TrafficClass::RhsRows),
+            mac: ctx.mac.vector_op(f_out),
+            words: f_out as u64,
+        }
     }
 }
 
@@ -422,7 +455,6 @@ impl GrowEngine {
         let adjacency = &workload.adjacency;
         let n = adjacency.rows();
         let row_bytes = f_out as u64 * ELEMENT_BYTES;
-        let f_words = f_out as u64;
         let cache_rows = self.cache_rows(f_out);
 
         let GrowScratch {
@@ -440,6 +472,7 @@ impl GrowEngine {
         plan.clear();
 
         let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes);
+        let shape = RowShape::new(&ctx, f_out);
 
         // The pinned set — and therefore the probe plan — is a pure
         // function of the HDN list prefix actually pinned; its length
@@ -461,7 +494,7 @@ impl GrowEngine {
             let done =
                 ctx.dram
                     .read_many(id_done, fills as u64, row_bytes, TrafficClass::RhsPreload);
-            ctx.report.sram_writes_8b += fills as u64 * f_words;
+            ctx.report.sram_writes_8b += fills as u64 * shape.words;
             ctx.now = ctx.now.max(done);
         }
 
@@ -500,7 +533,7 @@ impl GrowEngine {
                         lru_dummy,
                         false,
                         ctx.now,
-                        f_out,
+                        &shape,
                         &mut ctx.report,
                     );
                 }
@@ -524,9 +557,9 @@ impl GrowEngine {
                 for op in &buf.ops[op_cursor..op_cursor + rp.ops as usize] {
                     match *op {
                         PlanOp::Hits(count) => {
-                            ctx.mac.scalar_vector_bulk(ctx.now, f_out, count as u64);
-                            ctx.report.sram_reads_8b += count as u64 * f_words; // cached RHS rows
-                            ctx.report.sram_writes_8b += count as u64 * f_words;
+                            ctx.mac.issue(ctx.now, shape.mac, count as u64);
+                            ctx.report.sram_reads_8b += count as u64 * shape.words; // cached RHS rows
+                            ctx.report.sram_writes_8b += count as u64 * shape.words;
                             // O-BUF accumulate
                         }
                         PlanOp::Miss(k) => {
@@ -537,11 +570,7 @@ impl GrowEngine {
                             loop {
                                 match tables.issue(k, waiter) {
                                     IssueOutcome::Allocated => {
-                                        let done = ctx.dram.read(
-                                            ctx.now,
-                                            row_bytes,
-                                            TrafficClass::RhsRows,
-                                        );
+                                        let done = ctx.dram.read_shaped(ctx.now, &shape.fetch);
                                         tables.set_completion(k, done);
                                         pending[i] += 1;
                                         break;
@@ -559,7 +588,7 @@ impl GrowEngine {
                                             lru_dummy,
                                             false,
                                             ctx.now,
-                                            f_out,
+                                            &shape,
                                             &mut ctx.report,
                                         );
                                     }
@@ -630,7 +659,7 @@ impl GrowEngine {
                 lru_dummy,
                 false,
                 ctx.now,
-                f_out,
+                &shape,
                 &mut ctx.report,
             );
         }
@@ -671,11 +700,10 @@ impl GrowEngine {
     ) -> PhaseReport {
         let cfg = &self.config;
         let adjacency = &workload.adjacency;
-        let row_bytes = f_out as u64 * ELEMENT_BYTES;
-        let f_words = f_out as u64;
         let lru_stats_before = *lru.stats();
 
         let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes);
+        let shape = RowShape::new(&ctx, f_out);
         let mut tables = RunaheadTables::new(cfg.ldn_entries, cfg.lhs_id_entries);
 
         // Multi-row window: rows retire in order (Figure 15's
@@ -709,7 +737,7 @@ impl GrowEngine {
                     lru,
                     true,
                     ctx.now,
-                    f_out,
+                    &shape,
                     &mut ctx.report,
                 );
             }
@@ -727,9 +755,9 @@ impl GrowEngine {
             for &k in slice {
                 let hit = cfg.hdn_caching && lru.probe(k);
                 if hit {
-                    ctx.mac.scalar_vector(ctx.now, f_out);
-                    ctx.report.sram_reads_8b += f_words; // cached RHS row
-                    ctx.report.sram_writes_8b += f_words; // O-BUF accumulate
+                    ctx.mac.issue(ctx.now, shape.mac, 1);
+                    ctx.report.sram_reads_8b += shape.words; // cached RHS row
+                    ctx.report.sram_writes_8b += shape.words; // O-BUF accumulate
                 } else {
                     let waiter = Waiter {
                         output_row: row as u32,
@@ -738,7 +766,7 @@ impl GrowEngine {
                     loop {
                         match tables.issue(k, waiter) {
                             IssueOutcome::Allocated => {
-                                let done = ctx.dram.read(ctx.now, row_bytes, TrafficClass::RhsRows);
+                                let done = ctx.dram.read_shaped(ctx.now, &shape.fetch);
                                 tables.set_completion(k, done);
                                 pending[i] += 1;
                                 break;
@@ -756,7 +784,7 @@ impl GrowEngine {
                                     lru,
                                     true,
                                     ctx.now,
-                                    f_out,
+                                    &shape,
                                     &mut ctx.report,
                                 );
                             }
@@ -786,7 +814,7 @@ impl GrowEngine {
                 lru,
                 true,
                 ctx.now,
-                f_out,
+                &shape,
                 &mut ctx.report,
             );
         }
@@ -822,22 +850,24 @@ impl GrowEngine {
         lru: &mut LruRowCache,
         use_lru: bool,
         now: Cycle,
-        f_out: usize,
+        shape: &RowShape,
         report: &mut PhaseReport,
     ) -> Cycle {
         let Some((done, rhs, waiters)) = tables.pop_earliest_slice() else {
             return now;
         };
         let now = now.max(done);
+        // Every waiter's MAC is ready at `now`, so one bulk issue is the
+        // same as one issue per waiter.
+        mac.issue(now, shape.mac, waiters.len() as u64);
+        report.sram_writes_8b += waiters.len() as u64 * shape.words; // O-BUF accumulate
         for w in waiters {
-            mac.scalar_vector(now, f_out);
-            report.sram_writes_8b += f_out as u64; // O-BUF accumulate
             let slot = &mut pending[w.output_row as usize - cluster_start];
             *slot = slot.saturating_sub(1);
         }
         if use_lru && self.config.hdn_caching {
             lru.insert(rhs);
-            report.sram_writes_8b += f_out as u64;
+            report.sram_writes_8b += shape.words;
         }
         now
     }

@@ -116,6 +116,23 @@ fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, RegistryErro
     })
 }
 
+/// Parses a count that sizes a hardware structure. Zero is rejected
+/// here: a zero-entry table, window, cache or lane count would only
+/// panic (or never finish) later, mid-run.
+fn positive<T: std::str::FromStr + PartialEq + Default>(
+    key: &str,
+    value: &str,
+) -> Result<T, RegistryError> {
+    let n: T = parse(key, value)?;
+    if n == T::default() {
+        return Err(RegistryError::InvalidValue {
+            key: key.to_string(),
+            value: value.to_string(),
+        });
+    }
+    Ok(n)
+}
+
 /// Applies the DRAM keys shared by every engine; returns `true` if `key`
 /// was one of them.
 fn apply_dram_key(dram: &mut DramConfig, key: &str, value: &str) -> Result<bool, RegistryError> {
@@ -148,16 +165,6 @@ fn apply_schedule_key(
     key: &str,
     value: &str,
 ) -> Result<bool, RegistryError> {
-    let positive = |key: &str, value: &str| -> Result<usize, RegistryError> {
-        let n: usize = parse(key, value)?;
-        if n == 0 {
-            return Err(RegistryError::InvalidValue {
-                key: key.to_string(),
-                value: value.to_string(),
-            });
-        }
-        Ok(n)
-    };
     match key {
         "pes" => cfg.pes = positive(key, value)?,
         "channels" => cfg.topology.channels = positive(key, value)?,
@@ -218,14 +225,14 @@ fn grow_from(overrides: &[(&str, &str)]) -> Result<GrowEngine, RegistryError> {
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = parse(key, value)?,
-            "hdn_cache_kb" => cfg.hdn_cache_bytes = parse::<u64>(key, value)? * 1024,
+            "mac_lanes" => cfg.mac_lanes = positive(key, value)?,
+            "hdn_cache_kb" => cfg.hdn_cache_bytes = positive::<u64>(key, value)? * 1024,
             "hdn_id_entries" => cfg.hdn_id_entries = parse(key, value)?,
             "ibuf_sparse_kb" => cfg.ibuf_sparse_bytes = parse::<u64>(key, value)? * 1024,
             "obuf_kb" => cfg.obuf_bytes = parse::<u64>(key, value)? * 1024,
-            "runahead" => cfg.runahead = parse(key, value)?,
-            "ldn_entries" => cfg.ldn_entries = parse(key, value)?,
-            "lhs_id_entries" => cfg.lhs_id_entries = parse(key, value)?,
+            "runahead" => cfg.runahead = positive(key, value)?,
+            "ldn_entries" => cfg.ldn_entries = positive(key, value)?,
+            "lhs_id_entries" => cfg.lhs_id_entries = positive(key, value)?,
             "hdn_caching" => cfg.hdn_caching = parse(key, value)?,
             "replacement" => {
                 cfg.replacement = match value.to_ascii_lowercase().as_str() {
@@ -261,9 +268,9 @@ fn gcnax_from(overrides: &[(&str, &str)]) -> Result<GcnaxEngine, RegistryError> 
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = parse(key, value)?,
-            "tile_rows" => cfg.tile_rows = parse(key, value)?,
-            "tile_cols" => cfg.tile_cols = parse(key, value)?,
+            "mac_lanes" => cfg.mac_lanes = positive(key, value)?,
+            "tile_rows" => cfg.tile_rows = positive(key, value)?,
+            "tile_cols" => cfg.tile_cols = positive(key, value)?,
             "dense_buffer_kb" => cfg.dense_buffer_bytes = parse::<u64>(key, value)? * 1024,
             "tile_fetch_depth" => cfg.tile_fetch_depth = parse(key, value)?,
             _ => {
@@ -288,7 +295,7 @@ fn matraptor_from(overrides: &[(&str, &str)]) -> Result<MatRaptorEngine, Registr
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = parse(key, value)?,
+            "mac_lanes" => cfg.mac_lanes = positive(key, value)?,
             "merge_factor" => cfg.merge_factor = parse(key, value)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
@@ -312,7 +319,7 @@ fn gamma_from(overrides: &[(&str, &str)]) -> Result<GammaEngine, RegistryError> 
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = parse(key, value)?,
+            "mac_lanes" => cfg.mac_lanes = positive(key, value)?,
             "fiber_cache_kb" => cfg.fiber_cache_bytes = parse::<u64>(key, value)? * 1024,
             "merge_factor" => cfg.merge_factor = parse(key, value)?,
             _ => {

@@ -1,5 +1,13 @@
 use crate::Cycle;
 
+/// A scalar x vector operation's width and its cycles on one
+/// [`MacArray`], from [`MacArray::vector_op`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VectorOp {
+    width: u64,
+    cycles: Cycle,
+}
+
 /// The MAC vector unit of Table III: 16 lanes of 64-bit multiply-accumulate.
 ///
 /// The key primitive of GROW's row-wise product is a scalar x vector
@@ -50,29 +58,41 @@ impl MacArray {
         width.div_ceil(self.lanes) as Cycle
     }
 
+    /// The shape of a scalar x vector operation of `width` elements on
+    /// this array, for a caller that issues many of one width.
+    pub fn vector_op(&self, width: usize) -> VectorOp {
+        VectorOp {
+            width: width as u64,
+            cycles: self.cycles_for(width),
+        }
+    }
+
     /// Executes one scalar x vector operation of `width` elements, starting
     /// no earlier than `ready`. Returns the completion cycle.
     pub fn scalar_vector(&mut self, ready: Cycle, width: usize) -> Cycle {
-        let cycles = self.cycles_for(width);
-        let start = self.busy_until.max(ready);
-        self.busy_until = start + cycles;
-        self.busy_cycles += cycles;
-        self.mac_ops += width as u64;
-        self.busy_until
+        self.issue(ready, self.vector_op(width), 1)
     }
 
     /// Executes `count` back-to-back scalar x vector operations of `width`
     /// elements in one call (bulk accounting for rows whose operands are
     /// all on-chip). Returns the completion cycle of the last one.
     pub fn scalar_vector_bulk(&mut self, ready: Cycle, width: usize, count: u64) -> Cycle {
-        if count == 0 {
-            return self.busy_until.max(ready);
-        }
-        let cycles = self.cycles_for(width) * count;
+        self.issue(ready, self.vector_op(width), count)
+    }
+
+    /// Executes `count` back-to-back operations of a precomputed shape,
+    /// starting no earlier than `ready` — the same as `count` calls of
+    /// [`MacArray::scalar_vector`], since the start can only move past
+    /// `ready` on the first. Returns the completion cycle of the last one.
+    pub fn issue(&mut self, ready: Cycle, op: VectorOp, count: u64) -> Cycle {
         let start = self.busy_until.max(ready);
+        if count == 0 {
+            return start;
+        }
+        let cycles = op.cycles * count;
         self.busy_until = start + cycles;
         self.busy_cycles += cycles;
-        self.mac_ops += width as u64 * count;
+        self.mac_ops += op.width * count;
         self.busy_until
     }
 
@@ -149,6 +169,36 @@ mod tests {
         assert_eq!(a.busy_until(), done);
         assert_eq!(a.mac_ops(), b.mac_ops());
         assert_eq!(a.busy_cycles(), b.busy_cycles());
+    }
+
+    #[test]
+    fn precomputed_ops_match_scalar_vector_calls() {
+        let mut state = 11u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for _ in 0..200 {
+            let lanes = 1 + next(40) as usize;
+            let (mut looped, mut shaped) = (MacArray::new(lanes), MacArray::new(lanes));
+            let width = 1 + next(300) as usize;
+            let op = shaped.vector_op(width);
+            let mut ready = 0;
+            for _ in 0..50 {
+                ready += next(20);
+                let count = next(4);
+                let mut done = looped.busy_until().max(ready);
+                for _ in 0..count {
+                    done = looped.scalar_vector(ready, width);
+                }
+                assert_eq!(shaped.issue(ready, op, count), done);
+            }
+            assert_eq!(looped.busy_until(), shaped.busy_until());
+            assert_eq!(looped.busy_cycles(), shaped.busy_cycles());
+            assert_eq!(looped.mac_ops(), shaped.mac_ops());
+        }
     }
 
     #[test]

@@ -293,6 +293,17 @@ impl fmt::Display for TrafficStats {
     }
 }
 
+/// A random-access read request with its size and channel occupancy
+/// precomputed, from [`Dram::read_shape`] on the channel that issues it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReadShape {
+    class: TrafficClass,
+    useful: u64,
+    fetched: u64,
+    /// `fetched / bytes_per_cycle`: the transfer's channel cycles.
+    occupancy: f64,
+}
+
 /// A FIFO off-chip memory channel.
 ///
 /// Requests occupy the channel back-to-back in issue order (bandwidth
@@ -340,16 +351,46 @@ impl Dram {
     /// Issues a random-access read of `useful_bytes`; the transfer is
     /// rounded up to the access granularity. Returns the completion cycle.
     pub fn read(&mut self, now: Cycle, useful_bytes: u64, class: TrafficClass) -> Cycle {
+        let shape = self.read_shape(useful_bytes, class);
+        self.read_shaped(now, &shape)
+    }
+
+    /// The shape of a [`Dram::read`] of `useful_bytes` on this channel:
+    /// its granularity-rounded size and channel occupancy, worked out
+    /// once for a caller that issues many reads of one size.
+    pub fn read_shape(&self, useful_bytes: u64, class: TrafficClass) -> ReadShape {
         let fetched =
             useful_bytes.div_ceil(self.config.access_granularity) * self.config.access_granularity;
-        self.transfer_random(now, useful_bytes, fetched, class, true)
+        self.shape(useful_bytes, fetched, class)
+    }
+
+    fn shape(&self, useful: u64, fetched: u64, class: TrafficClass) -> ReadShape {
+        ReadShape {
+            class,
+            useful,
+            fetched,
+            occupancy: fetched as f64 / self.config.bytes_per_cycle,
+        }
+    }
+
+    /// Issues a random-access read of a precomputed shape: bit-identical
+    /// to the [`Dram::read`] it was shaped from, without its integer and
+    /// floating-point divisions. Returns the completion cycle.
+    pub fn read_shaped(&mut self, now: Cycle, shape: &ReadShape) -> Cycle {
+        self.fault_ops += 1;
+        fault::trip_at(FaultSite::DramIssue, self.fault_ops);
+        self.stats.record(shape.class, shape.useful, shape.fetched);
+        let start = self.channel_free.max(now as f64);
+        let end = start + shape.occupancy + self.config.request_overhead_cycles as f64;
+        self.channel_free = end;
+        (end + self.config.latency_cycles as f64).ceil() as Cycle
     }
 
     /// Issues a streaming read of `useful_bytes` that continues a
     /// contiguous burst (CSR streams): no per-request granularity rounding.
     /// The caller should account one final [`Dram::round_burst`] per burst.
     pub fn read_stream(&mut self, now: Cycle, useful_bytes: u64, class: TrafficClass) -> Cycle {
-        self.transfer(now, useful_bytes, useful_bytes, class, true, 0)
+        self.transfer(now, useful_bytes, useful_bytes, class, true)
     }
 
     /// Issues a random-access read of `useful_bytes` of payload plus
@@ -367,7 +408,8 @@ impl Dram {
         let total = useful_bytes + overhead_bytes;
         let fetched =
             total.div_ceil(self.config.access_granularity) * self.config.access_granularity;
-        self.transfer_random(now, useful_bytes, fetched, class, true)
+        let shape = self.shape(useful_bytes, fetched, class);
+        self.read_shaped(now, &shape)
     }
 
     /// Issues `count` back-to-back random-access reads of `useful_each`
@@ -414,27 +456,11 @@ impl Dram {
     pub fn write(&mut self, now: Cycle, useful_bytes: u64, class: TrafficClass) -> Cycle {
         let fetched =
             useful_bytes.div_ceil(self.config.access_granularity) * self.config.access_granularity;
-        self.transfer(now, useful_bytes, fetched, class, false, 0)
+        self.transfer(now, useful_bytes, fetched, class, false)
     }
 
-    fn transfer_random(
-        &mut self,
-        now: Cycle,
-        useful: u64,
-        fetched: u64,
-        class: TrafficClass,
-        is_read: bool,
-    ) -> Cycle {
-        self.transfer(
-            now,
-            useful,
-            fetched,
-            class,
-            is_read,
-            self.config.request_overhead_cycles,
-        )
-    }
-
+    /// A streaming read or a write: no per-request overhead, and only
+    /// reads wait out the access latency.
     fn transfer(
         &mut self,
         now: Cycle,
@@ -442,13 +468,12 @@ impl Dram {
         fetched: u64,
         class: TrafficClass,
         is_read: bool,
-        overhead: Cycle,
     ) -> Cycle {
         self.fault_ops += 1;
         fault::trip_at(FaultSite::DramIssue, self.fault_ops);
         self.stats.record(class, useful, fetched);
         let start = self.channel_free.max(now as f64);
-        let end = start + fetched as f64 / self.config.bytes_per_cycle + overhead as f64;
+        let end = start + fetched as f64 / self.config.bytes_per_cycle;
         self.channel_free = end;
         let completion = if is_read {
             end + self.config.latency_cycles as f64
@@ -624,6 +649,103 @@ mod tests {
         }
         assert_eq!(done_bulk, done_loop);
         assert_eq!(bulk.stats(), looped.stats());
+    }
+
+    /// splitmix64, for the seeded sweeps below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn shaped_reads_are_bit_identical_to_plain_reads() {
+        let mut rng = 7u64;
+        for case in 0..300 {
+            let mut next = |bound: u64| splitmix(&mut rng) % bound;
+            let bytes_per_cycle = match case % 4 {
+                0 => 128.0,
+                1 => 100.0,
+                2 => 7.5,
+                _ => 0.5 + next(300_000) as f64 / 997.0,
+            };
+            let cfg = DramConfig {
+                bytes_per_cycle,
+                latency_cycles: next(120),
+                // Odd granularities included.
+                access_granularity: 1 + next(130),
+                request_overhead_cycles: next(30),
+            };
+            let sizes = [1 + next(40), 8 * (1 + next(64)), 328, 513];
+            let mut plain = Dram::new(cfg);
+            let mut shaped = Dram::new(cfg);
+            let shapes = sizes.map(|size| shaped.read_shape(size, TrafficClass::RhsRows));
+            // The formula `Dram::read` used before shapes existed.
+            let mut free = 0.0f64;
+            let mut now: Cycle = 0;
+            for step in 0..400 {
+                now += next(5);
+                if next(4) == 0 {
+                    // Streams and writes leave the channel at fractional
+                    // times that reads then start from.
+                    let bytes = 1 + next(200);
+                    let a = plain.read_stream(now, bytes, TrafficClass::LhsSparse);
+                    let b = shaped.read_stream(now, bytes, TrafficClass::LhsSparse);
+                    assert_eq!(a, b);
+                    free = free.max(now as f64) + bytes as f64 / bytes_per_cycle;
+                    continue;
+                }
+                let pick = next(4) as usize;
+                let gran = cfg.access_granularity;
+                let fetched = sizes[pick].div_ceil(gran) * gran;
+                let start = free.max(now as f64);
+                free =
+                    start + fetched as f64 / bytes_per_cycle + cfg.request_overhead_cycles as f64;
+                let expected = (free + cfg.latency_cycles as f64).ceil() as Cycle;
+                let a = plain.read(now, sizes[pick], TrafficClass::RhsRows);
+                let b = shaped.read_shaped(now, &shapes[pick]);
+                assert_eq!((a, b), (expected, expected), "case {case} step {step}");
+                assert_eq!(shaped.channel_free.to_bits(), free.to_bits());
+                assert_eq!(plain.channel_free.to_bits(), free.to_bits());
+            }
+            assert_eq!(plain.busy_until(), shaped.busy_until());
+            assert_eq!(plain.stats(), shaped.stats(), "case {case}");
+            assert_eq!(plain.fault_ops, shaped.fault_ops, "case {case}");
+        }
+    }
+
+    #[test]
+    fn shaped_reads_trip_dram_faults_at_the_same_ordinal() {
+        let cfg = DramConfig {
+            bytes_per_cycle: 7.5,
+            access_granularity: 24,
+            ..DramConfig::default()
+        };
+        for nth in [1u64, 2, 5, 9] {
+            let spec = format!("dram:error:{nth}");
+            let plan = crate::fault::FaultPlan::parse(&spec).unwrap();
+            let tripped = |shaped: bool| {
+                let payload = crate::fault::with_plan(plan, || {
+                    std::panic::catch_unwind(|| {
+                        let mut d = Dram::new(cfg);
+                        let shape = d.read_shape(328, TrafficClass::RhsRows);
+                        for step in 0..12 {
+                            d.write(step, 64, TrafficClass::Output);
+                            if shaped {
+                                d.read_shaped(step, &shape);
+                            } else {
+                                d.read(step, 328, TrafficClass::RhsRows);
+                            }
+                        }
+                    })
+                })
+                .expect_err("the plan trips within 24 issues");
+                *payload.downcast::<crate::fault::SimFault>().unwrap()
+            };
+            assert_eq!(tripped(true), tripped(false), "{spec}");
+        }
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use std::collections::VecDeque;
+
 use crate::Cycle;
 
 /// One pending LHS non-zero waiting for an in-flight RHS row (an entry of
@@ -25,14 +27,15 @@ pub enum IssueOutcome {
     LhsFull,
 }
 
-/// One LDN-table slot: an RHS row in flight and its waiting LHS non-zeros.
+/// One LDN-table slot's storage, recycled across occupancies.
 #[derive(Debug, Clone, Default)]
 struct Slot {
-    rhs_row: u32,
-    live: bool,
-    complete_at: Option<Cycle>,
-    /// Reused across occupancies: cleared (not dropped) when the slot is
-    /// re-allocated, so steady-state issue/drain traffic allocates nothing.
+    /// Position of this slot's row in the CAM while the slot is live.
+    cam: u32,
+    /// Whether the current occupancy's completion cycle is known.
+    completed: bool,
+    /// Cleared (not dropped) when the slot is re-allocated, so
+    /// steady-state issue/drain traffic allocates nothing.
     waiters: Vec<Waiter>,
 }
 
@@ -41,10 +44,19 @@ struct Slot {
 /// LHS-ID table holding the sparse values waiting on them (Figure 16;
 /// defaults `M = 16`, `N = 64`).
 ///
-/// Like the hardware it models, the table is a handful of CAM slots:
-/// lookups are a linear scan over at most `M` live entries (`M` is 16 in
-/// Table III — far below the break-even point of any hashed index), and
-/// slot storage — waiter lists included — is recycled, so steady-state
+/// Every operation but the row lookup is O(1):
+/// - the live rows sit densely packed in a flat `u32` array (the CAM),
+///   so a lookup compares at most `M` words and touches no slot;
+/// - free slots come off a stack;
+/// - entries whose completion is known wait in a ring sorted by
+///   `(completion cycle, row id)`, so the earliest completion is its
+///   front. A FIFO channel completes fetches in issue order, so
+///   [`RunaheadTables::set_completion`] inserts at the back; an
+///   out-of-order completion walks back to its place;
+/// - the last allocated slot is remembered, so the usual
+///   `issue` → `set_completion` pair looks the row up once.
+///
+/// Slot storage — waiter lists included — is recycled, so steady-state
 /// operation performs no heap allocation. [`RunaheadTables::reset`]
 /// recycles the whole table for the next cluster.
 ///
@@ -65,7 +77,19 @@ pub struct RunaheadTables {
     ldn_capacity: usize,
     lhs_capacity: usize,
     slots: Vec<Slot>,
-    live: usize,
+    /// The CAM: the live rows, densely packed, and the slot of each.
+    rows: Vec<u32>,
+    row_slots: Vec<u32>,
+    /// Slots not currently live.
+    free: Vec<u32>,
+    /// `(completion cycle, row, slot)` of every live entry whose
+    /// completion is known, ascending by `(cycle, row)`.
+    ready: VecDeque<(Cycle, u32, u32)>,
+    /// `(row, slot)` of the most recent allocation while it is live.
+    last_alloc: Option<(u32, u32)>,
+    /// A row the last `LdnFull` found absent; pops only remove rows, so
+    /// it stays absent until the next allocation.
+    absent: Option<u32>,
     lhs_used: usize,
     peak_ldn: usize,
     peak_lhs: usize,
@@ -87,19 +111,22 @@ impl RunaheadTables {
     ///
     /// Panics if either capacity is zero.
     pub fn new(ldn_capacity: usize, lhs_capacity: usize) -> Self {
-        assert!(
-            ldn_capacity > 0 && lhs_capacity > 0,
-            "table capacities must be positive"
-        );
-        RunaheadTables {
-            ldn_capacity,
-            lhs_capacity,
+        let mut tables = RunaheadTables {
+            ldn_capacity: 1,
+            lhs_capacity: 1,
             slots: Vec::new(),
-            live: 0,
+            rows: Vec::new(),
+            row_slots: Vec::new(),
+            free: Vec::new(),
+            ready: VecDeque::new(),
+            last_alloc: None,
+            absent: None,
             lhs_used: 0,
             peak_ldn: 0,
             peak_lhs: 0,
-        }
+        };
+        tables.reset(ldn_capacity, lhs_capacity);
+        tables
     }
 
     /// Recycles the tables: as if freshly constructed with
@@ -116,10 +143,13 @@ impl RunaheadTables {
         );
         self.ldn_capacity = ldn_capacity;
         self.lhs_capacity = lhs_capacity;
-        for slot in &mut self.slots {
-            slot.live = false;
-        }
-        self.live = 0;
+        self.rows.clear();
+        self.row_slots.clear();
+        self.free.clear();
+        self.free.extend((0..self.slots.len() as u32).rev());
+        self.ready.clear();
+        self.last_alloc = None;
+        self.absent = None;
         self.lhs_used = 0;
         self.peak_ldn = 0;
         self.peak_lhs = 0;
@@ -127,7 +157,7 @@ impl RunaheadTables {
 
     /// LDN-table entries currently allocated.
     pub fn ldn_used(&self) -> usize {
-        self.live
+        self.rows.len()
     }
 
     /// LHS-ID-table entries currently allocated.
@@ -147,15 +177,14 @@ impl RunaheadTables {
 
     /// True if no fetches are in flight.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.rows.is_empty()
     }
 
-    /// The live slot index holding `rhs_row`, if any.
+    /// The slot holding live row `rhs_row`, if any.
     #[inline]
     fn find(&self, rhs_row: u32) -> Option<usize> {
-        self.slots
-            .iter()
-            .position(|s| s.live && s.rhs_row == rhs_row)
+        let at = self.rows.iter().position(|&r| r == rhs_row)?;
+        Some(self.row_slots[at] as usize)
     }
 
     /// Attempts to register `waiter` for RHS row `rhs_row`.
@@ -168,33 +197,36 @@ impl RunaheadTables {
         if self.lhs_used >= self.lhs_capacity {
             return IssueOutcome::LhsFull;
         }
-        if let Some(i) = self.find(rhs_row) {
-            self.slots[i].waiters.push(waiter);
-            self.lhs_used += 1;
-            self.peak_lhs = self.peak_lhs.max(self.lhs_used);
-            return IssueOutcome::Coalesced;
-        }
-        if self.live >= self.ldn_capacity {
-            return IssueOutcome::LdnFull;
-        }
-        let i = match self.slots.iter().position(|s| !s.live) {
-            Some(i) => i,
-            None => {
-                self.slots.push(Slot::default());
-                self.slots.len() - 1
-            }
+        let live = match self.absent {
+            Some(row) if row == rhs_row => None,
+            _ => self.find(rhs_row),
         };
-        let slot = &mut self.slots[i];
-        slot.rhs_row = rhs_row;
-        slot.live = true;
-        slot.complete_at = None;
-        slot.waiters.clear();
-        slot.waiters.push(waiter);
-        self.live += 1;
+        let outcome = if let Some(s) = live {
+            self.slots[s].waiters.push(waiter);
+            IssueOutcome::Coalesced
+        } else if self.rows.len() >= self.ldn_capacity {
+            self.absent = Some(rhs_row);
+            return IssueOutcome::LdnFull;
+        } else {
+            let s = self.free.pop().unwrap_or_else(|| {
+                self.slots.push(Slot::default());
+                self.slots.len() as u32 - 1
+            });
+            let slot = &mut self.slots[s as usize];
+            slot.cam = self.rows.len() as u32;
+            slot.completed = false;
+            slot.waiters.clear();
+            slot.waiters.push(waiter);
+            self.rows.push(rhs_row);
+            self.row_slots.push(s);
+            self.last_alloc = Some((rhs_row, s));
+            self.absent = None;
+            self.peak_ldn = self.peak_ldn.max(self.rows.len());
+            IssueOutcome::Allocated
+        };
         self.lhs_used += 1;
-        self.peak_ldn = self.peak_ldn.max(self.live);
         self.peak_lhs = self.peak_lhs.max(self.lhs_used);
-        IssueOutcome::Allocated
+        outcome
     }
 
     /// Records the DRAM completion cycle of a newly allocated entry.
@@ -204,10 +236,19 @@ impl RunaheadTables {
     /// Panics if `rhs_row` has no allocated entry or already has a
     /// completion time.
     pub fn set_completion(&mut self, rhs_row: u32, complete_at: Cycle) {
-        let i = self.find(rhs_row).expect("entry must be allocated");
-        let slot = &mut self.slots[i];
-        assert!(slot.complete_at.is_none(), "completion already set");
-        slot.complete_at = Some(complete_at);
+        let s = match self.last_alloc {
+            Some((row, s)) if row == rhs_row => s as usize,
+            _ => self.find(rhs_row).expect("entry must be allocated"),
+        };
+        let slot = &mut self.slots[s];
+        assert!(!slot.completed, "completion already set");
+        slot.completed = true;
+        let key = (complete_at, rhs_row);
+        let mut at = self.ready.len();
+        while at > 0 && (self.ready[at - 1].0, self.ready[at - 1].1) > key {
+            at -= 1;
+        }
+        self.ready.insert(at, (complete_at, rhs_row, s as u32));
     }
 
     /// Removes the in-flight row with the earliest completion and returns
@@ -218,24 +259,21 @@ impl RunaheadTables {
     /// Ties on the completion cycle resolve to the smallest RHS row id
     /// (the same total order the paper's FIFO channel produces).
     pub fn pop_earliest_slice(&mut self) -> Option<(Cycle, u32, &[Waiter])> {
-        let mut best: Option<(Cycle, u32, usize)> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !slot.live {
-                continue;
-            }
-            if let Some(done) = slot.complete_at {
-                let key = (done, slot.rhs_row);
-                if best.is_none_or(|(d, r, _)| key < (d, r)) {
-                    best = Some((done, slot.rhs_row, i));
-                }
-            }
+        let (done, row, s) = self.ready.pop_front()?;
+        // Close the CAM's gap with its last entry.
+        let at = self.slots[s as usize].cam as usize;
+        self.rows.swap_remove(at);
+        self.row_slots.swap_remove(at);
+        if let Some(&moved) = self.row_slots.get(at) {
+            self.slots[moved as usize].cam = at as u32;
         }
-        let (done, row, i) = best?;
-        let slot = &mut self.slots[i];
-        slot.live = false;
-        self.live -= 1;
-        self.lhs_used -= slot.waiters.len();
-        Some((done, row, &self.slots[i].waiters))
+        self.free.push(s);
+        if self.last_alloc.is_some_and(|(_, last)| last == s) {
+            self.last_alloc = None;
+        }
+        let waiters = &self.slots[s as usize].waiters;
+        self.lhs_used -= waiters.len();
+        Some((done, row, waiters))
     }
 
     /// Like [`RunaheadTables::pop_earliest_slice`], returning the waiters
@@ -371,6 +409,158 @@ mod tests {
         let (done, row, slice) = b.pop_earliest_slice().unwrap();
         assert_eq!((owned.0, owned.1), (done, row));
         assert_eq!(owned.2.as_slice(), slice);
+    }
+
+    /// The linear-scan CAM these tables replaced: every lookup, slot
+    /// search and earliest-completion search scans all slots. Kept as
+    /// the reference for the differential test below.
+    #[derive(Default)]
+    struct LinearTables {
+        ldn_capacity: usize,
+        lhs_capacity: usize,
+        /// `(row, live, completion, waiters)` per slot.
+        slots: Vec<(u32, bool, Option<Cycle>, Vec<Waiter>)>,
+        lhs_used: usize,
+        peak_ldn: usize,
+        peak_lhs: usize,
+    }
+
+    impl LinearTables {
+        fn reset(&mut self, ldn_capacity: usize, lhs_capacity: usize) {
+            *self = LinearTables {
+                ldn_capacity,
+                lhs_capacity,
+                ..LinearTables::default()
+            };
+        }
+
+        fn live(&self) -> usize {
+            self.slots.iter().filter(|s| s.1).count()
+        }
+
+        fn find(&self, row: u32) -> Option<usize> {
+            self.slots.iter().position(|s| s.1 && s.0 == row)
+        }
+
+        fn issue(&mut self, row: u32, waiter: Waiter) -> IssueOutcome {
+            if self.lhs_used >= self.lhs_capacity {
+                return IssueOutcome::LhsFull;
+            }
+            if let Some(i) = self.find(row) {
+                self.slots[i].3.push(waiter);
+                self.lhs_used += 1;
+                self.peak_lhs = self.peak_lhs.max(self.lhs_used);
+                return IssueOutcome::Coalesced;
+            }
+            if self.live() >= self.ldn_capacity {
+                return IssueOutcome::LdnFull;
+            }
+            let entry = (row, true, None, vec![waiter]);
+            match self.slots.iter().position(|s| !s.1) {
+                Some(i) => self.slots[i] = entry,
+                None => self.slots.push(entry),
+            }
+            self.lhs_used += 1;
+            self.peak_ldn = self.peak_ldn.max(self.live());
+            self.peak_lhs = self.peak_lhs.max(self.lhs_used);
+            IssueOutcome::Allocated
+        }
+
+        fn set_completion(&mut self, row: u32, at: Cycle) {
+            let i = self.find(row).expect("entry must be allocated");
+            assert!(self.slots[i].2.is_none(), "completion already set");
+            self.slots[i].2 = Some(at);
+        }
+
+        fn pop_earliest(&mut self) -> Option<(Cycle, u32, Vec<Waiter>)> {
+            let i = (0..self.slots.len())
+                .filter(|&i| self.slots[i].1 && self.slots[i].2.is_some())
+                .min_by_key(|&i| (self.slots[i].2, self.slots[i].0))?;
+            let slot = &mut self.slots[i];
+            slot.1 = false;
+            self.lhs_used -= slot.3.len();
+            Some((slot.2.unwrap(), slot.0, std::mem::take(&mut slot.3)))
+        }
+    }
+
+    #[test]
+    fn random_sequences_match_the_linear_scan_tables() {
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut fast = RunaheadTables::new(1, 1);
+        let mut oracle = LinearTables::default();
+        // Allocated rows still waiting for their completion cycle.
+        let mut uncompleted: Vec<u32> = Vec::new();
+        let mut clock: Cycle = 0;
+        let (mut pops, mut outcomes) = (0, [0usize; 4]);
+        for step in 0..200_000u32 {
+            if step % 5_000 == 0 {
+                let (ldn, lhs) = (1 + next(20) as usize, 1 + next(70) as usize);
+                fast.reset(ldn, lhs);
+                oracle.reset(ldn, lhs);
+                uncompleted.clear();
+            }
+            match next(10) {
+                // Issue: few distinct rows, so rows coalesce.
+                0..=4 => {
+                    let row = next(24) as u32;
+                    let w = Waiter {
+                        output_row: step,
+                        lhs_value: next(7) as f64 - 3.0,
+                    };
+                    let outcome = fast.issue(row, w);
+                    assert_eq!(outcome, oracle.issue(row, w), "step {step}");
+                    outcomes[outcome as usize] += 1;
+                    if outcome == IssueOutcome::Allocated {
+                        uncompleted.push(row);
+                    }
+                }
+                // Complete the newest or an older allocation, mostly in
+                // channel order but sometimes earlier, often tied.
+                5..=7 if !uncompleted.is_empty() => {
+                    let pick = if next(4) == 0 {
+                        next(uncompleted.len() as u64) as usize
+                    } else {
+                        uncompleted.len() - 1
+                    };
+                    let row = uncompleted.swap_remove(pick);
+                    clock += next(4);
+                    let at = clock.saturating_sub(next(3) * next(6));
+                    fast.set_completion(row, at);
+                    oracle.set_completion(row, at);
+                }
+                _ => {
+                    let expected = oracle.pop_earliest();
+                    assert_eq!(fast.pop_earliest(), expected, "step {step}");
+                    pops += expected.is_some() as usize;
+                }
+            }
+            assert_eq!(fast.ldn_used(), oracle.live(), "step {step}");
+            assert_eq!(fast.lhs_used(), oracle.lhs_used, "step {step}");
+            assert_eq!(fast.peak_ldn(), oracle.peak_ldn, "step {step}");
+            assert_eq!(fast.peak_lhs(), oracle.peak_lhs, "step {step}");
+            assert_eq!(fast.is_empty(), oracle.live() == 0, "step {step}");
+        }
+        // Every path was taken many times.
+        assert!(pops > 10_000, "{pops} pops");
+        assert!(outcomes.iter().all(|&n| n > 1_000), "{outcomes:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "completion already set")]
+    fn completion_is_set_once() {
+        let mut t = RunaheadTables::new(2, 2);
+        t.issue(5, w(0));
+        t.issue(6, w(0));
+        t.set_completion(5, 10);
+        t.set_completion(5, 11);
     }
 
     #[test]

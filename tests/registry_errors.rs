@@ -359,6 +359,39 @@ fn non_positive_or_non_finite_bandwidth_is_an_invalid_value() {
 }
 
 #[test]
+fn zero_capacities_are_invalid_values() {
+    // Each of these sizes a table, window, cache, tile or lane count. At
+    // zero a run would panic mid-way (a zero-entry table, no MAC lanes,
+    // a division by the cache size) or never finish (`runahead=0` and
+    // `tile_rows=0` loop forever), so the registry must refuse them
+    // before anything runs. Only the registry is called here.
+    let mut cases = vec![
+        ("grow", "runahead"),
+        ("grow", "ldn_entries"),
+        ("grow", "lhs_id_entries"),
+        ("grow", "hdn_cache_kb"),
+        ("gcnax", "tile_rows"),
+        ("gcnax", "tile_cols"),
+    ];
+    cases.extend(registry::ENGINE_NAMES.iter().map(|&e| (e, "mac_lanes")));
+    for (engine, key) in cases {
+        let expected = RegistryError::InvalidValue {
+            key: key.into(),
+            value: "0".into(),
+        };
+        assert_eq!(
+            registry::engine_from_overrides(engine, &[(key, "0")]).err(),
+            Some(expected),
+            "{engine}/{key}=0"
+        );
+        assert!(
+            registry::engine_from_overrides(engine, &[(key, "1")]).is_ok(),
+            "{engine}/{key}=1"
+        );
+    }
+}
+
+#[test]
 fn every_error_displays_a_useful_message() {
     let errors: Vec<RegistryError> = vec![
         RegistryError::UnknownEngine("npu".into()),
