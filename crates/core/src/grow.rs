@@ -56,9 +56,9 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use grow_sim::{
-    CacheStats, Cycle, Dram, DramConfig, FaultPlan, IssueOutcome, LruRowCache, MacArray,
-    PinnedRowCache, ReadShape, RunaheadTables, ScratchArena, TrafficClass, VectorOp, Waiter,
-    ELEMENT_BYTES, HDN_ID_BYTES, INDEX_BYTES,
+    CacheStats, DramConfig, FaultPlan, IssueOutcome, LruRowCache, PinnedRowCache, ReadShape,
+    RunaheadTables, ScratchArena, TrafficClass, VectorOp, Waiter, ELEMENT_BYTES, HDN_ID_BYTES,
+    INDEX_BYTES,
 };
 use grow_sparse::{CsrPattern, RowMajorSparse};
 
@@ -262,6 +262,134 @@ impl RowShape {
     }
 }
 
+/// The cycle-accurate state one cluster's aggregation replay drives: the
+/// runahead tables, the in-order retirement window (Figure 15's
+/// head/tail) and each row's count of outstanding non-zeros, indexed
+/// from the cluster's first row. Both the planned (pinned/no-cache) and
+/// the per-probe (LRU) paths walk their rows through it.
+struct ReplayState<'a> {
+    tables: &'a mut RunaheadTables,
+    window: &'a mut VecDeque<u32>,
+    pending: &'a mut [u32],
+    /// The demand cache returning rows are installed into (LRU
+    /// replacement with caching on only).
+    lru: Option<&'a mut LruRowCache>,
+    start: usize,
+    runahead: usize,
+    shape: RowShape,
+    /// Bytes of the LHS CSR stream so far, rounded once at cluster end.
+    burst: u64,
+}
+
+impl ReplayState<'_> {
+    /// Admits output row `row` with `nnz` non-zeros: waits for a window
+    /// slot, streams the row's CSR segment and enters the window.
+    fn begin_row(&mut self, ctx: &mut PhaseCtx, row: usize, nnz: u64) {
+        while self.window.len() >= self.runahead {
+            self.retire_ready(ctx);
+            if self.window.len() < self.runahead {
+                break;
+            }
+            self.drain_one(ctx);
+        }
+        let stream = nnz * (ELEMENT_BYTES + INDEX_BYTES) + INDEX_BYTES;
+        ctx.dram
+            .read_stream(ctx.now, stream, TrafficClass::LhsSparse);
+        self.burst += stream;
+        ctx.report.sram_writes_8b += stream.div_ceil(8);
+        ctx.report.sram_reads_8b += stream.div_ceil(8);
+        // Enter the window with an issue-in-progress token: stalls while
+        // issuing this row's own non-zeros may drain some of *its*
+        // waiters, so the pending counter must be live before the first
+        // miss is registered (and the token keeps the row from retiring
+        // before all its non-zeros are issued).
+        self.window.push_back(row as u32);
+        self.pending[row - self.start] = 1;
+    }
+
+    /// `count` non-zeros whose RHS rows are on chip.
+    fn hits(&mut self, ctx: &mut PhaseCtx, count: u64) {
+        ctx.mac.issue(ctx.now, self.shape.mac, count);
+        ctx.report.sram_reads_8b += count * self.shape.words; // cached RHS rows
+        ctx.report.sram_writes_8b += count * self.shape.words; // O-BUF accumulate
+    }
+
+    /// One non-zero of `row` whose RHS row `k` missed: it waits in the
+    /// runahead tables — draining fetches while they are full — on a
+    /// fetch of `k` that it starts or joins.
+    fn miss(&mut self, ctx: &mut PhaseCtx, row: usize, k: u32) {
+        let waiter = Waiter {
+            output_row: row as u32,
+            lhs_value: 1.0,
+        };
+        loop {
+            match self.tables.issue(k, waiter) {
+                IssueOutcome::Allocated => {
+                    let done = ctx.dram.read_shaped(ctx.now, &self.shape.fetch);
+                    self.tables.set_completion(k, done);
+                    break;
+                }
+                IssueOutcome::Coalesced => break,
+                IssueOutcome::LdnFull | IssueOutcome::LhsFull => self.drain_one(ctx),
+            }
+        }
+        self.pending[row - self.start] += 1;
+    }
+
+    /// Releases `row`'s issue token; the row retires once all of its
+    /// outstanding misses return.
+    fn end_row(&mut self, ctx: &mut PhaseCtx, row: usize) {
+        self.pending[row - self.start] -= 1;
+        self.retire_ready(ctx);
+    }
+
+    /// Services the earliest outstanding RHS-row fetch: advances time,
+    /// fires the waiting MACs, and (under LRU) installs the row.
+    fn drain_one(&mut self, ctx: &mut PhaseCtx) {
+        let Some((done, rhs, waiters)) = self.tables.pop_earliest_slice() else {
+            return;
+        };
+        ctx.now = ctx.now.max(done);
+        // Every waiter's MAC is ready at `now`, so one bulk issue is the
+        // same as one issue per waiter.
+        ctx.mac.issue(ctx.now, self.shape.mac, waiters.len() as u64);
+        ctx.report.sram_writes_8b += waiters.len() as u64 * self.shape.words; // O-BUF accumulate
+        for w in waiters {
+            let slot = &mut self.pending[w.output_row as usize - self.start];
+            *slot = slot.saturating_sub(1);
+        }
+        if let Some(lru) = self.lru.as_deref_mut() {
+            lru.insert(rhs);
+            ctx.report.sram_writes_8b += self.shape.words;
+        }
+    }
+
+    /// Retires completed rows from the window head, writing their output
+    /// rows back to DRAM (in-order retirement per Figure 15).
+    fn retire_ready(&mut self, ctx: &mut PhaseCtx) {
+        while let Some(&front) = self.window.front() {
+            if self.pending[front as usize - self.start] > 0 {
+                break;
+            }
+            self.window.pop_front();
+            let bytes = self.shape.words * ELEMENT_BYTES;
+            ctx.dram.write(ctx.now, bytes, TrafficClass::Output);
+            ctx.report.sram_reads_8b += self.shape.words; // O-BUF drain
+        }
+    }
+
+    /// Closes the CSR burst, then drains the cluster before handing the
+    /// channel to the next one.
+    fn finish(mut self, ctx: &mut PhaseCtx) {
+        ctx.dram.round_burst(self.burst, TrafficClass::LhsSparse);
+        while !self.tables.is_empty() {
+            self.drain_one(ctx);
+        }
+        self.retire_ready(ctx);
+        debug_assert!(self.window.is_empty(), "all rows retire at cluster end");
+    }
+}
+
 /// Per-worker scratch of the aggregation cluster path, recycled through a
 /// [`ScratchArena`]: every field is fully re-initialized at cluster start
 /// (`reset`/`clear`), never reconstructed.
@@ -269,9 +397,6 @@ impl RowShape {
 struct GrowScratch {
     pinned: PinnedRowCache,
     tables: RunaheadTables,
-    /// Zero-capacity stand-in for [`GrowEngine::drain_one`]'s LRU slot in
-    /// the pinned/no-cache modes (never probed or filled there).
-    lru_dummy: LruRowCache,
     window: VecDeque<u32>,
     pending: Vec<u32>,
     plan: PlanBuf,
@@ -460,7 +585,6 @@ impl GrowEngine {
         let GrowScratch {
             pinned,
             tables,
-            lru_dummy,
             window,
             pending,
             plan,
@@ -502,114 +626,31 @@ impl GrowEngine {
         // at a time, strictly in range order — identical step for step to
         // a per-probe walk (hit runs issue as bulk MAC operations, which
         // is exact — see the module docs).
-        let start = cluster.start;
-        let mut burst = 0u64;
+        let mut state = ReplayState {
+            tables,
+            window,
+            pending,
+            lru: None,
+            start: cluster.start,
+            runahead: cfg.runahead,
+            shape,
+            burst: 0,
+        };
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut replay = |range: Range<usize>, buf: &PlanBuf, ctx: &mut PhaseCtx| {
             let mut op_cursor = 0usize;
             for (j, rp) in buf.rows.iter().enumerate() {
                 let row = range.start + j;
-                let i = row - start;
-                // Window admission (in-order retirement).
-                while window.len() >= cfg.runahead {
-                    self.retire_ready(
-                        window,
-                        pending,
-                        start,
-                        ctx.now,
-                        &mut ctx.dram,
-                        f_out,
-                        &mut ctx.report,
-                    );
-                    if window.len() < cfg.runahead {
-                        break;
-                    }
-                    ctx.now = self.drain_one(
-                        tables,
-                        &mut ctx.mac,
-                        pending,
-                        start,
-                        lru_dummy,
-                        false,
-                        ctx.now,
-                        &shape,
-                        &mut ctx.report,
-                    );
-                }
-
-                // Stream this A row's CSR segment.
-                let nnz = rp.nnz as u64;
-                let stream = nnz * (ELEMENT_BYTES + INDEX_BYTES) + INDEX_BYTES;
-                ctx.dram
-                    .read_stream(ctx.now, stream, TrafficClass::LhsSparse);
-                burst += stream;
-                ctx.report.sram_writes_8b += stream.div_ceil(8);
-                ctx.report.sram_reads_8b += stream.div_ceil(8);
-
-                // Enter the window with an issue-in-progress token: stalls
-                // while issuing this row's own non-zeros may drain some of
-                // *its* waiters, so the pending counter must be live before
-                // the first miss is registered (and the token keeps the row
-                // from retiring before all its non-zeros are issued).
-                window.push_back(row as u32);
-                pending[i] = 1;
+                state.begin_row(ctx, row, rp.nnz as u64);
                 for op in &buf.ops[op_cursor..op_cursor + rp.ops as usize] {
                     match *op {
-                        PlanOp::Hits(count) => {
-                            ctx.mac.issue(ctx.now, shape.mac, count as u64);
-                            ctx.report.sram_reads_8b += count as u64 * shape.words; // cached RHS rows
-                            ctx.report.sram_writes_8b += count as u64 * shape.words;
-                            // O-BUF accumulate
-                        }
-                        PlanOp::Miss(k) => {
-                            let waiter = Waiter {
-                                output_row: row as u32,
-                                lhs_value: 1.0,
-                            };
-                            loop {
-                                match tables.issue(k, waiter) {
-                                    IssueOutcome::Allocated => {
-                                        let done = ctx.dram.read_shaped(ctx.now, &shape.fetch);
-                                        tables.set_completion(k, done);
-                                        pending[i] += 1;
-                                        break;
-                                    }
-                                    IssueOutcome::Coalesced => {
-                                        pending[i] += 1;
-                                        break;
-                                    }
-                                    IssueOutcome::LdnFull | IssueOutcome::LhsFull => {
-                                        ctx.now = self.drain_one(
-                                            tables,
-                                            &mut ctx.mac,
-                                            pending,
-                                            start,
-                                            lru_dummy,
-                                            false,
-                                            ctx.now,
-                                            &shape,
-                                            &mut ctx.report,
-                                        );
-                                    }
-                                }
-                            }
-                        }
+                        PlanOp::Hits(count) => state.hits(ctx, count as u64),
+                        PlanOp::Miss(k) => state.miss(ctx, row, k),
                     }
                 }
                 op_cursor += rp.ops as usize;
-                // Release the issue token; the row can now retire once all
-                // of its outstanding misses return.
-                pending[i] -= 1;
-                self.retire_ready(
-                    window,
-                    pending,
-                    start,
-                    ctx.now,
-                    &mut ctx.dram,
-                    f_out,
-                    &mut ctx.report,
-                );
+                state.end_row(ctx, row);
             }
         };
 
@@ -647,32 +688,7 @@ impl GrowEngine {
                 .ok();
             }
         }
-        ctx.dram.round_burst(burst, TrafficClass::LhsSparse);
-
-        // Drain the cluster before handing the channel to the next one.
-        while !tables.is_empty() {
-            ctx.now = self.drain_one(
-                tables,
-                &mut ctx.mac,
-                pending,
-                start,
-                lru_dummy,
-                false,
-                ctx.now,
-                &shape,
-                &mut ctx.report,
-            );
-        }
-        self.retire_ready(
-            window,
-            pending,
-            start,
-            ctx.now,
-            &mut ctx.dram,
-            f_out,
-            &mut ctx.report,
-        );
-        debug_assert!(window.is_empty(), "all rows retire at cluster end");
+        state.finish(&mut ctx);
 
         ctx.report.cache = if cfg.hdn_caching {
             CacheStats {
@@ -703,131 +719,29 @@ impl GrowEngine {
         let lru_stats_before = *lru.stats();
 
         let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes);
-        let shape = RowShape::new(&ctx, f_out);
-        let mut tables = RunaheadTables::new(cfg.ldn_entries, cfg.lhs_id_entries);
-
-        // Multi-row window: rows retire in order (Figure 15's
-        // head/tail). Pending counters are cluster-local, indexed from
-        // the cluster's first row.
-        let start = cluster.start;
-        let mut window: VecDeque<u32> = VecDeque::with_capacity(cfg.runahead);
-        let mut pending: Vec<u32> = vec![0; cluster.len()];
-
-        let mut burst = 0u64;
+        let mut state = ReplayState {
+            tables: &mut RunaheadTables::new(cfg.ldn_entries, cfg.lhs_id_entries),
+            window: &mut VecDeque::with_capacity(cfg.runahead),
+            pending: &mut vec![0; cluster.len()],
+            lru: cfg.hdn_caching.then_some(&mut *lru),
+            start: cluster.start,
+            runahead: cfg.runahead,
+            shape: RowShape::new(&ctx, f_out),
+            burst: 0,
+        };
         for (i, slice) in adjacency.row_slices(cluster.clone()).enumerate() {
-            let row = start + i;
-            while window.len() >= cfg.runahead {
-                self.retire_ready(
-                    &mut window,
-                    &mut pending,
-                    start,
-                    ctx.now,
-                    &mut ctx.dram,
-                    f_out,
-                    &mut ctx.report,
-                );
-                if window.len() < cfg.runahead {
-                    break;
-                }
-                ctx.now = self.drain_one(
-                    &mut tables,
-                    &mut ctx.mac,
-                    &mut pending,
-                    start,
-                    lru,
-                    true,
-                    ctx.now,
-                    &shape,
-                    &mut ctx.report,
-                );
-            }
-
-            let nnz = slice.len() as u64;
-            let stream = nnz * (ELEMENT_BYTES + INDEX_BYTES) + INDEX_BYTES;
-            ctx.dram
-                .read_stream(ctx.now, stream, TrafficClass::LhsSparse);
-            burst += stream;
-            ctx.report.sram_writes_8b += stream.div_ceil(8);
-            ctx.report.sram_reads_8b += stream.div_ceil(8);
-
-            window.push_back(row as u32);
-            pending[i] = 1;
+            let row = cluster.start + i;
+            state.begin_row(&mut ctx, row, slice.len() as u64);
             for &k in slice {
-                let hit = cfg.hdn_caching && lru.probe(k);
-                if hit {
-                    ctx.mac.issue(ctx.now, shape.mac, 1);
-                    ctx.report.sram_reads_8b += shape.words; // cached RHS row
-                    ctx.report.sram_writes_8b += shape.words; // O-BUF accumulate
+                if state.lru.as_deref_mut().is_some_and(|lru| lru.probe(k)) {
+                    state.hits(&mut ctx, 1);
                 } else {
-                    let waiter = Waiter {
-                        output_row: row as u32,
-                        lhs_value: 1.0,
-                    };
-                    loop {
-                        match tables.issue(k, waiter) {
-                            IssueOutcome::Allocated => {
-                                let done = ctx.dram.read_shaped(ctx.now, &shape.fetch);
-                                tables.set_completion(k, done);
-                                pending[i] += 1;
-                                break;
-                            }
-                            IssueOutcome::Coalesced => {
-                                pending[i] += 1;
-                                break;
-                            }
-                            IssueOutcome::LdnFull | IssueOutcome::LhsFull => {
-                                ctx.now = self.drain_one(
-                                    &mut tables,
-                                    &mut ctx.mac,
-                                    &mut pending,
-                                    start,
-                                    lru,
-                                    true,
-                                    ctx.now,
-                                    &shape,
-                                    &mut ctx.report,
-                                );
-                            }
-                        }
-                    }
+                    state.miss(&mut ctx, row, k);
                 }
             }
-            pending[i] -= 1;
-            self.retire_ready(
-                &mut window,
-                &mut pending,
-                start,
-                ctx.now,
-                &mut ctx.dram,
-                f_out,
-                &mut ctx.report,
-            );
+            state.end_row(&mut ctx, row);
         }
-        ctx.dram.round_burst(burst, TrafficClass::LhsSparse);
-
-        while !tables.is_empty() {
-            ctx.now = self.drain_one(
-                &mut tables,
-                &mut ctx.mac,
-                &mut pending,
-                start,
-                lru,
-                true,
-                ctx.now,
-                &shape,
-                &mut ctx.report,
-            );
-        }
-        self.retire_ready(
-            &mut window,
-            &mut pending,
-            start,
-            ctx.now,
-            &mut ctx.dram,
-            f_out,
-            &mut ctx.report,
-        );
-        debug_assert!(window.is_empty(), "all rows retire at cluster end");
+        state.finish(&mut ctx);
 
         let after = *lru.stats();
         ctx.report.cache = CacheStats {
@@ -836,63 +750,6 @@ impl GrowEngine {
             fills: after.fills - lru_stats_before.fills,
         };
         ctx.finish_cluster()
-    }
-
-    /// Services the earliest outstanding RHS-row fetch: advances time,
-    /// fires the waiting MACs, and (under LRU) installs the row.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_one(
-        &self,
-        tables: &mut RunaheadTables,
-        mac: &mut MacArray,
-        pending: &mut [u32],
-        cluster_start: usize,
-        lru: &mut LruRowCache,
-        use_lru: bool,
-        now: Cycle,
-        shape: &RowShape,
-        report: &mut PhaseReport,
-    ) -> Cycle {
-        let Some((done, rhs, waiters)) = tables.pop_earliest_slice() else {
-            return now;
-        };
-        let now = now.max(done);
-        // Every waiter's MAC is ready at `now`, so one bulk issue is the
-        // same as one issue per waiter.
-        mac.issue(now, shape.mac, waiters.len() as u64);
-        report.sram_writes_8b += waiters.len() as u64 * shape.words; // O-BUF accumulate
-        for w in waiters {
-            let slot = &mut pending[w.output_row as usize - cluster_start];
-            *slot = slot.saturating_sub(1);
-        }
-        if use_lru && self.config.hdn_caching {
-            lru.insert(rhs);
-            report.sram_writes_8b += shape.words;
-        }
-        now
-    }
-
-    /// Retires completed rows from the window head, writing their output
-    /// rows back to DRAM (in-order retirement per Figure 15).
-    #[allow(clippy::too_many_arguments)]
-    fn retire_ready(
-        &self,
-        window: &mut VecDeque<u32>,
-        pending: &mut [u32],
-        cluster_start: usize,
-        now: Cycle,
-        dram: &mut Dram,
-        f_out: usize,
-        report: &mut PhaseReport,
-    ) {
-        while let Some(&front) = window.front() {
-            if pending[front as usize - cluster_start] > 0 {
-                break;
-            }
-            window.pop_front();
-            dram.write(now, f_out as u64 * ELEMENT_BYTES, TrafficClass::Output);
-            report.sram_reads_8b += f_out as u64; // O-BUF drain
-        }
     }
 }
 
