@@ -254,7 +254,13 @@ fn tile_metadata_bytes(tile_cols: usize) -> u64 {
 
 impl GcnaxEngine {
     /// Creates an engine with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.tile_rows` is zero: the strip walk would never
+    /// advance, so a run would never finish.
     pub fn new(config: GcnaxConfig) -> Self {
+        assert!(config.tile_rows > 0, "tile height must be positive");
         GcnaxEngine { config }
     }
 
@@ -692,6 +698,15 @@ mod tests {
         let p = prepared(400);
         let e = GcnaxEngine::default();
         assert_eq!(e.run(&p), e.run(&p));
+    }
+
+    #[test]
+    #[should_panic(expected = "tile height must be positive")]
+    fn zero_tile_rows_is_rejected_not_run() {
+        GcnaxEngine::new(GcnaxConfig {
+            tile_rows: 0,
+            ..GcnaxConfig::default()
+        });
     }
 
     #[test]

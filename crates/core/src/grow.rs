@@ -410,7 +410,13 @@ pub struct GrowEngine {
 
 impl GrowEngine {
     /// Creates an engine with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.runahead` is zero: no output row could enter
+    /// the window, so a run would never finish.
     pub fn new(config: GrowConfig) -> Self {
+        assert!(config.runahead > 0, "runahead degree must be positive");
         GrowEngine { config }
     }
 
@@ -1062,6 +1068,15 @@ mod tests {
         let big_first = e.run(&big);
         assert_eq!(e.run(&small), small_first);
         assert_eq!(e.run(&big), big_first);
+    }
+
+    #[test]
+    #[should_panic(expected = "runahead degree must be positive")]
+    fn zero_runahead_is_rejected_not_run() {
+        GrowEngine::new(GrowConfig {
+            runahead: 0,
+            ..GrowConfig::default()
+        });
     }
 
     #[test]

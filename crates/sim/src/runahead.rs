@@ -54,7 +54,9 @@ struct Slot {
 ///   [`RunaheadTables::set_completion`] inserts at the back; an
 ///   out-of-order completion walks back to its place;
 /// - the last allocated slot is remembered, so the usual
-///   `issue` → `set_completion` pair looks the row up once.
+///   `issue` → `set_completion` pair looks the row up once, and so is
+///   the row a full LDN table last turned away, so its retry after a
+///   drain skips the lookup.
 ///
 /// Slot storage — waiter lists included — is recycled, so steady-state
 /// operation performs no heap allocation. [`RunaheadTables::reset`]
